@@ -3,20 +3,19 @@
 from importlib import resources
 
 from .automata import (
-    SINK,
     Des,
     Event,
     EventTable,
     ObserverAutomaton,
-    ProductState,
+    Projection,
     accessible,
-    full_observer_step,
     is_deterministic,
-    language_equivalent,
     make_events,
+    mask_of,
     observer,
-    product_step,
+    product_successors,
     project,
+    states_of,
     unobservable_reach,
 )
 from .desfile import DesFormatError, parse_des, serialize_des
@@ -41,13 +40,11 @@ from .strong import (
 from .weak import (
     INFINITE,
     KBound,
-    Seed,
     Verdict,
     VerifyStats,
     Witness,
     bounded_bfs,
     compute_seeds,
-    verify_current_state_opacity,
     verify_weak,
 )
 

@@ -4,31 +4,19 @@ A DES is a nondeterministic finite automaton whose alphabet is split into
 observable and unobservable events, together with disjoint sets of secret
 and nonsecret states.  This module provides the constructions that the
 opacity verifiers are built from: unobservable reach, projection onto the
-observable alphabet, the subset-construction observer, lazy full-observer
-steps, and product-automaton steps.
+observable alphabet, the subset-construction observer, and the successors
+of the product of the projection with its full observer.
+
+Sets of states inside these constructions are int bitmasks: bit q is set
+iff state q is in the set, and the empty set is 0.  ``project`` computes
+one step kernel per system, and the observer, the seeds and the product
+all step through it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Union
-
-
-class _Sink:
-    """The empty estimate of the full observer, kept implicit.
-
-    The empty set is never stored as an observer state; it absorbs every
-    event. A single shared sentinel stands in for it.
-    """
-
-    def __repr__(self) -> str:
-        return "SINK"
-
-
-SINK = _Sink()
-
-Estimate = Union[frozenset, _Sink]
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -124,74 +112,98 @@ class Des:
         return str(q)
 
 
-def _adjacency(des: Des) -> dict:
-    """Map (source, event) -> sorted tuple of targets."""
-    adj = {}
-    for (p, e, q) in des.transitions:
-        adj.setdefault((p, e), set()).add(q)
-    return {k: tuple(sorted(v)) for k, v in adj.items()}
 
 
-def _unobservable_adjacency(des: Des) -> dict:
-    unobs = set(des.events.unobservable_indices())
-    adj = {}
+def mask_of(states: Iterable[int]) -> int:
+    """The bitmask of a set of state indices."""
+    mask = 0
+    for q in states:
+        mask |= 1 << q
+    return mask
+
+
+def states_of(mask: int) -> tuple:
+    """The state indices in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def union_rows(row, mask: int) -> int:
+    """Union of ``row[q]`` over the states q in ``mask``: the kernel's inner loop."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _closure(succ: list, mask: int) -> int:
+    """States reachable from ``mask`` along the per-state successor masks ``succ``."""
+    frontier = mask
+    while frontier:
+        frontier = union_rows(succ, frontier) & ~mask
+        mask |= frontier
+    return mask
+
+
+def _unobservable_successors(des: Des) -> list:
+    """Per state, the mask of its successors on unobservable events."""
+    observable = [e.observable for e in des.events.entries]
+    succ = [0] * des.state_count
     for (p, e, q) in des.transitions:
-        if e in unobs:
-            adj.setdefault(p, set()).add(q)
-    return adj
+        if not observable[e]:
+            succ[p] |= 1 << q
+    return succ
 
 
 def unobservable_reach(des: Des, states: Iterable[int]) -> frozenset:
     """States reachable from ``states`` by unobservable strings (incl. epsilon)."""
-    adj = _unobservable_adjacency(des)
-    return _reach(adj, states)
+    return frozenset(states_of(_closure(_unobservable_successors(des), mask_of(states))))
 
 
-def _reach(unobs_adj: dict, states: Iterable[int]) -> frozenset:
-    seen = set(states)
-    work = list(seen)
-    while work:
-        p = work.pop()
-        for q in unobs_adj.get(p, ()):
-            if q not in seen:
-                seen.add(q)
-                work.append(q)
-    return frozenset(seen)
+@dataclass(frozen=True)
+class Projection:
+    """The projected automaton, as a step kernel over state masks.
 
-
-def _step_set(adj: dict, states: Iterable[int], event: int) -> set:
-    out = set()
-    for p in states:
-        out.update(adj.get((p, event), ()))
-    return out
-
-
-def project(des: Des) -> Des:
-    """Projected automaton over the observable alphabet.
-
-    Same state set; the transition on observable ``a`` from ``q`` is the
-    set of states reachable by unobservable strings around a single ``a``.
-    The initial set becomes its unobservable reach.
+    ``rows[j][q]`` is the mask of states reachable from q by a string
+    ``u* o u*`` whose one observable event o is ``event_names[j]``;
+    ``initial`` is the unobservable reach of the initial states.  Event
+    names follow event-table order.  Unobservable reach distributes over
+    union, so the step of a set Z on event j is ``union_rows(rows[j], Z)``
+    and no closure runs per set.
     """
-    adj = _adjacency(des)
-    uadj = _unobservable_adjacency(des)
-    obs = des.events.observable_indices()
-    new_events = EventTable(tuple(Event(des.events[i].name, True) for i in obs))
-    ur_cache = {q: _reach(uadj, (q,)) for q in range(des.state_count)}
-    transitions = set()
-    for q in range(des.state_count):
-        for new_e, e in enumerate(obs):
-            targets = _reach(uadj, _step_set(adj, ur_cache[q], e))
-            for r in targets:
-                transitions.add((q, new_e, r))
-    return Des(
+
+    state_count: int
+    event_names: tuple
+    rows: tuple
+    initial: int
+
+
+def project(des: Des) -> Projection:
+    """Projection onto the observable alphabet: the unobservable closure of
+    each state is computed once, and each row closes one observable step."""
+    unobservable = _unobservable_successors(des)
+    closures = [_closure(unobservable, 1 << q) for q in range(des.state_count)]
+    columns = {e: j for j, e in enumerate(des.events.observable_indices())}
+    succ = [[0] * des.state_count for _ in columns]
+    for (p, e, q) in des.transitions:
+        j = columns.get(e)
+        if j is not None:
+            succ[j][p] |= 1 << q
+    rows = tuple(
+        tuple(union_rows(closures, union_rows(step, closures[q])) for q in range(des.state_count))
+        for step in succ
+    )
+    return Projection(
         state_count=des.state_count,
-        events=new_events,
-        transitions=frozenset(transitions),
-        initial=_reach(uadj, des.initial),
-        secret=des.secret,
-        nonsecret=des.nonsecret,
-        state_names=des.state_names,
+        event_names=tuple(des.events[e].name for e in columns),
+        rows=rows,
+        initial=union_rows(closures, mask_of(des.initial)),
     )
 
 
@@ -199,137 +211,109 @@ def project(des: Des) -> Des:
 class ObserverAutomaton:
     """Accessible part of the determinized projected automaton.
 
-    ``states[i]`` is the current-state estimate after some observation;
-    ``delta[i][j]`` is the successor state index on the j-th observable
-    event, or None for the implicit empty-estimate sink.  States are listed
-    in breadth-first discovery order, so ``states[0]`` is the initial
-    estimate.
+    ``states[i]`` is the current-state estimate (a mask) after some
+    observation; ``delta[i][j]`` is the successor state index on the j-th
+    observable event, or None for the empty estimate, which is never
+    stored.  States are listed in breadth-first discovery order, so
+    ``states[0]`` is the initial estimate, and ``parents[i]`` is the
+    (state index, event) pair that discovered state i (None for state 0).
     """
 
     event_names: tuple
     states: tuple
     delta: tuple
+    parents: tuple
 
     @property
-    def initial(self) -> frozenset:
+    def initial(self) -> int:
         return self.states[0]
 
-    def step(self, state_index: int, event_index: int):
-        return self.delta[state_index][event_index]
+    def observation(self, i: int) -> tuple:
+        """A shortest observation reaching state i, ties broken by event-table order."""
+        mu = []
+        while self.parents[i] is not None:
+            i, j = self.parents[i]
+            mu.append(self.event_names[j])
+        mu.reverse()
+        return tuple(mu)
 
-    def state_index(self, estimate: frozenset) -> int:
-        return self.states.index(estimate)
 
-
-def observer(des: Des) -> ObserverAutomaton:
-    """Subset construction over observable events, reachable part only."""
-    adj = _adjacency(des)
-    uadj = _unobservable_adjacency(des)
-    obs = des.events.observable_indices()
-    init = _reach(uadj, des.initial)
-    states = [init]
-    index = {init: 0}
+def observer(pg: Projection) -> ObserverAutomaton:
+    """Subset construction over the projection's rows, reachable part only."""
+    events = tuple(enumerate(pg.rows))
+    states = [pg.initial]
+    parents = [None]
+    index = {pg.initial: 0}
     delta = []
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        x = states[i]
-        while len(delta) <= i:
-            delta.append(None)
-        row = []
-        for e in obs:
-            target = _reach(uadj, _step_set(adj, x, e))
-            if not target:
-                row.append(None)
+    for i, x in enumerate(states):  # states grows behind the cursor: a FIFO queue
+        successors = []
+        for j, row in events:
+            y = union_rows(row, x)
+            if not y:
+                successors.append(None)
                 continue
-            j = index.get(target)
-            if j is None:
-                j = len(states)
-                index[target] = j
-                states.append(target)
-                queue.append(j)
-            row.append(j)
-        delta[i] = tuple(row)
-    return ObserverAutomaton(
-        event_names=tuple(des.events[i].name for i in obs),
-        states=tuple(states),
-        delta=tuple(delta),
-    )
+            t = index.get(y)
+            if t is None:
+                t = index[y] = len(states)
+                states.append(y)
+                parents.append((i, j))
+            successors.append(t)
+        delta.append(tuple(successors))
+    return ObserverAutomaton(pg.event_names, tuple(states), tuple(delta), tuple(parents))
 
 
-def full_observer_step(des: Des, estimate: Estimate, event: int) -> Estimate:
-    """One step of the full observer; the empty estimate is the sink."""
-    if not des.events[event].observable:
-        raise ValueError("full observer steps only on observable events")
-    if estimate is SINK:
-        return SINK
-    adj = _adjacency(des)
-    uadj = _unobservable_adjacency(des)
-    target = _reach(uadj, _step_set(adj, _reach(uadj, estimate), event))
-    return target if target else SINK
+def product_successors(pg: Projection) -> Callable:
+    """Successor function of the product of the projection with its full observer.
 
-
-class ProductState(NamedTuple):
-    """A state of the product of the projected automaton with the full observer."""
-
-    nfa_state: int
-    set_state: Estimate
-
-
-def product_step(pg: Des, state: ProductState, event: int) -> list:
-    """Successors of a product state; materialized lazily per step.
-
-    ``pg`` must be a projected (fully observable) automaton.  The estimate
-    component steps through the full observer of ``pg``; the sink absorbs.
+    A vertex is (q, Z): a state and an estimate mask.  On event j it moves
+    to (q', union_rows(rows[j], Z)) for every q' in ``rows[j][q]``, as (j, vertex)
+    pairs in event order and then state order.  Z = 0 is the empty
+    estimate and stays 0.  Each distinct Z is stepped once.
     """
-    if des_has_unobservable(pg):
-        raise ValueError("product_step expects a fully observable left operand")
-    adj = _adjacency(pg)
-    q_targets = adj.get((state.nfa_state, event), ())
-    if not q_targets:
-        return []
-    if state.set_state is SINK:
-        z = SINK
-    else:
-        zset = _step_set(adj, state.set_state, event)
-        z = frozenset(zset) if zset else SINK
-    return [ProductState(q, z) for q in q_targets]
+    targets = tuple(enumerate(tuple(states_of(mask) for mask in row) for row in pg.rows))
+    stepped = {}
+
+    def successors(vertex):
+        q, z = vertex
+        z_next = stepped.get(z)
+        if z_next is None:
+            z_next = stepped[z] = tuple(union_rows(row, z) for row in pg.rows)
+        for j, row in targets:
+            z2 = z_next[j]
+            for q2 in row[q]:
+                yield j, (q2, z2)
+
+    return successors
 
 
-def des_has_unobservable(des: Des) -> bool:
-    return any(not e.observable for e in des.events.entries)
+def accessible(des: Des) -> tuple:
+    """Restriction to states reachable from the initial set, densely reindexed.
 
-
-def accessible(des: Des) -> Des:
-    """Restriction to states reachable from the initial set, densely reindexed."""
-    adj = _adjacency(des)
-    seen = set(des.initial)
-    work = list(seen)
-    while work:
-        p = work.pop()
-        for e in range(len(des.events)):
-            for q in adj.get((p, e), ()):
-                if q not in seen:
-                    seen.add(q)
-                    work.append(q)
-    kept = sorted(seen)  # preserve relative state order
+    Returns (restricted system, map from kept old index to new index); the
+    relative order of the kept states is preserved.
+    """
+    succ = [0] * des.state_count
+    for (p, _e, q) in des.transitions:
+        succ[p] |= 1 << q
+    kept = states_of(_closure(succ, mask_of(des.initial)))
     remap = {old: new for new, old in enumerate(kept)}
     names = None
     if des.state_names is not None:
         names = tuple(des.state_names[q] for q in kept)
-    return Des(
+    restricted = Des(
         state_count=len(kept),
         events=des.events,
         transitions=frozenset(
             (remap[p], e, remap[q])
             for (p, e, q) in des.transitions
-            if p in seen and q in seen
+            if p in remap and q in remap
         ),
         initial=frozenset(remap[q] for q in des.initial),
-        secret=frozenset(remap[q] for q in des.secret if q in seen),
-        nonsecret=frozenset(remap[q] for q in des.nonsecret if q in seen),
+        secret=frozenset(remap[q] for q in des.secret if q in remap),
+        nonsecret=frozenset(remap[q] for q in des.nonsecret if q in remap),
         state_names=names,
     )
+    return restricted, remap
 
 
 def is_deterministic(des: Des) -> bool:
@@ -340,35 +324,4 @@ def is_deterministic(des: Des) -> bool:
         if (p, e) in seen:
             return False
         seen.add((p, e))
-    return True
-
-
-def language_equivalent(a: Des, b: Des) -> bool:
-    """Equality of the generated (prefix-closed) languages of two deterministic DES.
-
-    Decided by synchronized traversal of the two transition structures,
-    comparing which events are defined at each reachable state pair.
-    """
-    if not is_deterministic(a) or not is_deterministic(b):
-        raise ValueError("language equivalence requires deterministic inputs")
-    if a.events != b.events:
-        raise ValueError("language equivalence requires identical event tables")
-    adj_a = _adjacency(a)
-    adj_b = _adjacency(b)
-    start = (next(iter(a.initial)), next(iter(b.initial)))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        pa, pb = queue.popleft()
-        for e in range(len(a.events)):
-            ta = adj_a.get((pa, e))
-            tb = adj_b.get((pb, e))
-            if (ta is None) != (tb is None):
-                return False
-            if ta is None:
-                continue
-            pair = (ta[0], tb[0])
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
     return True

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from pathlib import Path
 
-from .automata import Des, observer
+from .automata import Des, observer, project
 from .desfile import DesFormatError, parse_des, serialize_des
 from .dot import des_to_dot, observer_to_dot
 from .oracle import (
@@ -96,7 +97,7 @@ def _cmd_verify_weak(args, out) -> int:
         except OSError as exc:
             raise CliError(f"cannot create {args.dot}: {exc}")
         _write(str(directory / "des.dot"), des_to_dot(des))
-        _write(str(directory / "observer.dot"), observer_to_dot(observer(des), des))
+        _write(str(directory / "observer.dot"), observer_to_dot(observer(project(des)), des))
     return _emit_verdict(verdict, des, args, out)
 
 
@@ -132,7 +133,7 @@ def _cmd_transform(args, out) -> int:
 
 def _cmd_observer(args, out) -> int:
     des = _load(args.input)
-    _write(args.dot, observer_to_dot(observer(des), des))
+    _write(args.dot, observer_to_dot(observer(project(des)), des))
     return 0
 
 
@@ -186,12 +187,11 @@ def _cmd_random(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     des = _load(args.input)
-    try:
-        ks = [_parse_k(part) for part in args.k_list.split(",") if part]
-    except CliError:
-        raise
+    ks = [_parse_k(part) for part in args.k_list.split(",") if part]
     if not ks:
         raise CliError("--k-list must name at least one k")
+    if args.repeat < 1:
+        raise CliError("--repeat must be at least 1")
     for k in ks:
         best = None
         explored = None
@@ -267,11 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: building costs far more than parsing."""
+    return build_parser()
+
+
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -54,32 +54,40 @@ def parse_des(text: str) -> Des:
             raise DesFormatError("event names must be nonempty strings")
         if name in seen_events:
             raise DesFormatError(f"duplicate event name: {name!r}")
+        if not isinstance(item["observable"], bool):
+            raise DesFormatError(f"'observable' of event {name!r} must be true or false")
         seen_events.add(name)
-        entries.append(Event(name, bool(item["observable"])))
+        entries.append(Event(name, item["observable"]))
     events = EventTable(tuple(entries))
     event_index = {e.name: i for i, e in enumerate(entries)}
 
     def resolve_state(name, where):
-        if name not in state_index:
+        if not isinstance(name, str) or name not in state_index:
             raise DesFormatError(f"unknown state name {name!r} in {where}")
         return state_index[name]
 
-    initial = doc.get("initial")
-    if not isinstance(initial, list) or not initial:
+    def field_list(key):
+        value = doc.get(key, [])
+        if not isinstance(value, list):
+            raise DesFormatError(f"{key!r} must be a list")
+        return value
+
+    initial = field_list("initial")
+    if not initial:
         raise DesFormatError("'initial' must be a nonempty list of state names")
     initial_set = frozenset(resolve_state(s, "initial") for s in initial)
 
     transitions = set()
-    for t in doc.get("transitions", []):
+    for t in field_list("transitions"):
         if not (isinstance(t, list) and len(t) == 3):
             raise DesFormatError("each transition must be a [source, event, target] triple")
         src, ev, tgt = t
-        if ev not in event_index:
+        if not isinstance(ev, str) or ev not in event_index:
             raise DesFormatError(f"unknown event name {ev!r} in transitions")
         transitions.add((resolve_state(src, "transitions"), event_index[ev], resolve_state(tgt, "transitions")))
 
-    secret = frozenset(resolve_state(s, "secret") for s in doc.get("secret", []))
-    nonsecret = frozenset(resolve_state(s, "nonsecret") for s in doc.get("nonsecret", []))
+    secret = frozenset(resolve_state(s, "secret") for s in field_list("secret"))
+    nonsecret = frozenset(resolve_state(s, "nonsecret") for s in field_list("nonsecret"))
     if secret & nonsecret:
         raise DesFormatError("secret and nonsecret sets intersect")
 

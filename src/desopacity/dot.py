@@ -6,7 +6,7 @@ drawn; secret states are double-circled.
 
 from __future__ import annotations
 
-from .automata import Des, ObserverAutomaton
+from .automata import Des, ObserverAutomaton, states_of
 
 
 def _quote(s: str) -> str:
@@ -30,7 +30,7 @@ def des_to_dot(des: Des, title: str = "G") -> str:
 
 def observer_to_dot(obs: ObserverAutomaton, des: Des, title: str = "observer") -> str:
     def estimate_label(x):
-        return "{" + ",".join(des.state_name(q) for q in sorted(x)) + "}"
+        return "{" + ",".join(des.state_name(q) for q in states_of(x)) + "}"
 
     lines = [f"digraph {_quote(title)} {{", "  rankdir=LR;", '  __init [shape=point, label=""];']
     for i, x in enumerate(obs.states):

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .automata import Des, Event, EventTable, make_events
+from .automata import Des, is_deterministic, make_events
 from .weak import INFINITE, KBound, Witness, check_k
 
 
@@ -159,6 +159,12 @@ def _continuation_search(close_step, a0, b0, nu_limit, names, obs_events):
     return None
 
 
+def current_state_opaque(des: Des) -> bool:
+    """Current-state opacity, i.e. weak 0-step opacity, by the exhaustive
+    search above: estimates repeat after 2^n observations."""
+    return weak_violation_search(des, 0, OracleBounds(mu_max=2 ** des.state_count, nu_max=0)) is None
+
+
 def validate_weak_witness(des: Des, k: KBound, witness: Witness) -> bool:
     """Check a weak-opacity witness against the definition by direct simulation."""
     k = check_k(k)
@@ -221,8 +227,6 @@ def strong_violation_search(des: Des, k: KBound, bounds: OracleBounds) -> Option
     both the generated continuations and the coverage of every extended
     observation are determined by that pair.
     """
-    from .automata import is_deterministic
-
     if not is_deterministic(des):
         raise ValueError("strong opacity is defined for deterministic systems only")
     if len(des.secret | des.nonsecret) != des.state_count:
@@ -307,6 +311,37 @@ def _covered(des: Des, adj, q0, mu, k, bounds) -> bool:
                 seen.add(node)
                 queue.append((node, depth + 1))
     return False
+
+
+def language_equivalent(a: Des, b: Des) -> bool:
+    """Equality of the generated (prefix-closed) languages of two deterministic DES.
+
+    Decided by synchronized traversal of the two transition structures,
+    comparing which events are defined at each reachable state pair.
+    """
+    if not is_deterministic(a) or not is_deterministic(b):
+        raise ValueError("language equivalence requires deterministic inputs")
+    if a.events != b.events:
+        raise ValueError("language equivalence requires identical event tables")
+    adj_a = _event_adj(a)
+    adj_b = _event_adj(b)
+    start = (next(iter(a.initial)), next(iter(b.initial)))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        pa, pb = queue.popleft()
+        for e in range(len(a.events)):
+            ta = adj_a.get((pa, e))
+            tb = adj_b.get((pb, e))
+            if (ta is None) != (tb is None):
+                return False
+            if ta is None:
+                continue
+            pair = (next(iter(ta)), next(iter(tb)))
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return True
 
 
 def random_des(params: GeneratorParams) -> Des:

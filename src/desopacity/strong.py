@@ -53,21 +53,6 @@ def is_normal(des: Des) -> bool:
     return True
 
 
-def _reachable(des: Des) -> set:
-    adj = {}
-    for (p, _e, q) in des.transitions:
-        adj.setdefault(p, set()).add(q)
-    seen = set(des.initial)
-    work = list(seen)
-    while work:
-        p = work.pop()
-        for q in adj.get(p, ()):
-            if q not in seen:
-                seen.add(q)
-                work.append(q)
-    return seen
-
-
 def _prime_names(des: Des) -> tuple:
     names = [des.state_name(q) for q in range(des.state_count)]
     used = set(names)
@@ -115,10 +100,8 @@ def normalize(des: Des) -> NormalizationResult:
         nonsecret=des.nonsecret,
         state_names=names + primes,
     )
-    # step (4): prune, relying on the order-preserving dense reindexing
-    trimmed = accessible(doubled)
-    survivors = sorted(_reachable(doubled))
-    old_to_new = {old: new for new, old in enumerate(survivors)}
+    # step (4): prune unreachable states
+    trimmed, old_to_new = accessible(doubled)
     prime_map = {q: old_to_new[q + n] for q in range(n) if q + n in old_to_new}
 
     assert is_deterministic(trimmed), "normalization must preserve determinism"

@@ -1,31 +1,24 @@
 """Verification of weak k-step opacity.
 
 The verifier harvests seed pairs (secret state, nonsecret estimate) from
-the observer, then runs a level-bounded breadth-first search over the lazy
+the observer, then runs a level-bounded breadth-first search over the
 product of the projected automaton with the full-observer dynamics.  The
 system is opaque iff no product state with an empty estimate is reachable
-from a seed within k observable steps.
+from a seed within k observable steps.  The search stops at the first such
+state it discovers.
 
-The BFS keeps a single level counter travelling through the queue instead
-of a per-vertex distance array, so its memory does not grow with k.
+The BFS keeps one level number and two vertex lists, the frontier and the
+next level, instead of a per-vertex distance, so its memory does not grow
+with k.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from .automata import (
-    SINK,
-    Des,
-    Estimate,
-    ObserverAutomaton,
-    _adjacency,
-    observer,
-    project,
-)
+from .automata import Des, ObserverAutomaton, mask_of, observer, product_successors, project, states_of
 
 # k is a nonnegative int or INFINITE.
 KBound = Union[int, float]
@@ -40,39 +33,17 @@ def check_k(k: KBound) -> KBound:
     raise ValueError("k must be a nonnegative integer or INFINITE")
 
 
-class _Level:
-    """Level counter threaded through the BFS queue."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-@dataclass(frozen=True)
-class Seed:
-    """A pair (secret state, nonsecret estimate) with its provenance.
-
-    ``mu`` is a shortest observation reaching ``origin_estimate`` in the
-    observer, ties broken by event-table order.
-    """
-
-    secret_state: int
-    nonsecret_estimate: Estimate
-    origin_estimate: frozenset
-    mu: tuple
-
-
 @dataclass(frozen=True)
 class Witness:
     """An opacity violation at observation level: after observing ``mu`` the
     system may be in ``secret_state``, and the continuation ``nu`` has no
-    matching run through a nonsecret state."""
+    matching run through a nonsecret state.  ``origin_estimate`` is the
+    observer's estimate (a state mask) after ``mu``."""
 
     mu: tuple
     secret_state: int
     nu: tuple
-    origin_estimate: frozenset
+    origin_estimate: int
 
 
 @dataclass(frozen=True)
@@ -94,162 +65,84 @@ class Verdict:
             raise ValueError("witness must be present exactly when not opaque")
 
 
-def shortest_observations(obs: ObserverAutomaton) -> tuple:
-    """Shortest observation reaching each observer state, by BFS in event order."""
-    mus = [None] * len(obs.states)
-    mus[0] = ()
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j, name in enumerate(obs.event_names):
-            t = obs.delta[i][j]
-            if t is not None and mus[t] is None:
-                mus[t] = mus[i] + (name,)
-                queue.append(t)
-    return tuple(mus)
+def compute_seeds(obs: ObserverAutomaton, secret: int, nonsecret: int) -> dict:
+    """Product roots: (secret state q, nonsecret estimate Z) -> observer state index.
 
-
-def compute_seeds(obs: ObserverAutomaton, secret: frozenset, nonsecret: frozenset) -> list:
-    """One seed per (reachable estimate X, secret state in X)."""
-    mus = shortest_observations(obs)
-    seeds = []
+    One root per reachable estimate X and secret state q in X, with
+    Z = X & ``nonsecret`` (masks).  Roots follow the observer's discovery
+    order and the first occurrence of a pair wins, so the observer state it
+    maps to has a shortest observation, ties broken by event-table order.
+    """
+    seeds = {}
     for i, x in enumerate(obs.states):
         secrets = x & secret
-        if not secrets:
-            continue
-        ns = x & nonsecret
-        z = frozenset(ns) if ns else SINK
-        for q in sorted(secrets):
-            seeds.append(Seed(q, z, x, mus[i]))
+        if secrets:
+            z = x & nonsecret
+            for q in states_of(secrets):
+                seeds.setdefault((q, z), i)
     return seeds
 
 
-def bounded_bfs(successors: Callable, seeds: Iterable, k: KBound):
+def bounded_bfs(successors: Callable, seeds: Iterable, k: KBound, stop: Optional[Callable] = None):
     """Mark all vertices within distance k of the seeds.
 
     ``successors(v)`` yields (label, vertex) pairs.  Returns (marked, depth)
     where ``marked`` maps each vertex to its parent link (parent vertex,
-    label) or None for seeds, in discovery order; ``depth`` is the last
-    completed level.  A single level counter is threaded through the queue,
-    so only one distance number exists at any time.
+    label) or None for seeds, in discovery order, and ``depth`` is the last
+    level that had vertices.  If ``stop(v)`` holds for a discovered vertex,
+    the search ends there: that vertex is the last key of ``marked``, and
+    ``marked`` is the full search's discovery order up to it.
     """
     k = check_k(k)
     marked = {}
-    queue = deque()
-    queue.append(_Level(0))
+    frontier = []
     for s in seeds:
         if s not in marked:
             marked[s] = None
-            queue.append(s)
+            if stop is not None and stop(s):
+                return marked, 0
+            frontier.append(s)
     level = 0
-    while queue:
-        u = queue.popleft()
-        if isinstance(u, _Level):
-            if not queue:  # no frontier left at this level
-                break
-            level = u.value
-            if level == k:
-                break
-            queue.append(_Level(level + 1))
-            continue
-        for label, v in successors(u):
-            if v not in marked:
-                marked[v] = (u, label)
-                queue.append(v)
+    while frontier and level < k:
+        following = []
+        for u in frontier:
+            for label, v in successors(u):
+                if v not in marked:
+                    marked[v] = (u, label)
+                    if stop is not None and stop(v):
+                        return marked, level + 1
+                    following.append(v)
+        if not following:
+            break
+        frontier = following
+        level += 1
     return marked, level
 
 
-def _clamp_k(k: KBound, des: Des) -> KBound:
-    # Verdicts stabilize at n * 2^n steps; clamping avoids huge counters.
-    if k is not INFINITE and k > des.state_count * (2 ** des.state_count):
-        return INFINITE
-    return k
+def _revealing(vertex) -> bool:
+    """A product state whose nonsecret estimate is empty."""
+    return not vertex[1]
 
 
 def verify_weak(des: Des, k: KBound) -> Verdict:
     """Decide weak k-step opacity, with a validated witness on violation."""
-    k = _clamp_k(check_k(k), des)
-    obs = observer(des)
+    k = check_k(k)
     pg = project(des)
-    adj = _adjacency(pg)
-    events = tuple(range(len(pg.events)))
-    seeds = compute_seeds(obs, des.secret, des.nonsecret)
-
-    # Deduplicate seeds on (x, Z); keep the lexicographically-first mu.
-    by_pair = {}
-    for s in seeds:
-        key = (s.secret_state, s.nonsecret_estimate)
-        prev = by_pair.get(key)
-        if prev is None or (len(s.mu), s.mu) < (len(prev.mu), prev.mu):
-            by_pair[key] = s
-
-    h_sets = {s.nonsecret_estimate for s in by_pair.values() if s.nonsecret_estimate is not SINK}
-
-    sink_seeds = [s for s in seeds if s.nonsecret_estimate is SINK]
-    if sink_seeds:
-        # Every run reaching such an estimate already reveals the secret.
-        s = min(sink_seeds, key=lambda s: (len(s.mu), s.mu, s.secret_state))
-        stats = VerifyStats(len(obs.states), len(h_sets), len(by_pair), 0)
-        return Verdict(False, Witness(s.mu, s.secret_state, (), s.origin_estimate), stats)
-
-    z_step = {}
-
-    def step_estimate(z, e):
-        key = (z, e)
-        out = z_step.get(key)
-        if out is None:
-            targets = set()
-            for q in z:
-                targets.update(adj.get((q, e), ()))
-            out = frozenset(targets) if targets else SINK
-            z_step[key] = out
-            if out is not SINK:
-                h_sets.add(out)
-        return out
-
-    def successors(v):
-        q, z = v
-        for e in events:
-            q_targets = adj.get((q, e))
-            if not q_targets:
-                continue
-            z2 = SINK if z is SINK else step_estimate(z, e)
-            for q2 in q_targets:
-                yield pg.events[e].name, (q2, z2)
-
-    roots = {(s.secret_state, s.nonsecret_estimate): s for s in by_pair.values()}
-    marked, depth = bounded_bfs(successors, list(roots), k)
+    obs = observer(pg)
+    roots = compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret))
+    marked, depth = bounded_bfs(product_successors(pg), roots, k, stop=_revealing)
 
     n = des.state_count
     assert len(marked) <= n * 2 ** n, "product exploration exceeded the n*2^n bound"
 
-    stats = VerifyStats(len(obs.states), len(h_sets), len(marked), depth)
-    for v in marked:
-        if v[1] is SINK:
-            nu = []
-            cur = v
-            while marked[cur] is not None:
-                cur, label = marked[cur][0], marked[cur][1]
-                nu.append(label)
-            nu.reverse()
-            seed = roots[cur]
-            return Verdict(False, Witness(seed.mu, seed.secret_state, tuple(nu), seed.origin_estimate), stats)
-    return Verdict(True, None, stats)
-
-
-def verify_current_state_opacity(des: Des) -> Verdict:
-    """Current-state opacity, decided directly on the observer.
-
-    Equivalent to weak 0-step opacity; kept independent of the product
-    machinery as an internal cross-check.
-    """
-    if des.secret & des.nonsecret:
-        raise ValueError("secret and nonsecret state sets must be disjoint")
-    obs = observer(des)
-    mus = shortest_observations(obs)
-    for i, x in enumerate(obs.states):
-        secrets = x & des.secret
-        if secrets and not (x & des.nonsecret):
-            stats = VerifyStats(len(obs.states), 0, 0, 0)
-            return Verdict(False, Witness(mus[i], min(secrets), (), x), stats)
-    return Verdict(True, None, VerifyStats(len(obs.states), 0, 0, 0))
+    stats = VerifyStats(len(obs.states), len({z for _q, z in marked if z}), len(marked), depth)
+    v = next(reversed(marked), None)
+    if v is None or not _revealing(v):
+        return Verdict(True, None, stats)
+    nu = []
+    while marked[v] is not None:
+        v, j = marked[v]
+        nu.append(pg.event_names[j])
+    nu.reverse()
+    i = roots[v]
+    return Verdict(False, Witness(obs.observation(i), v[0], tuple(nu), obs.states[i]), stats)

@@ -7,10 +7,10 @@ from contextlib import contextmanager
 from desopacity import (
     INFINITE,
     is_normal,
-    language_equivalent,
     load_fixture,
     normalize,
     observer,
+    project,
     strong_to_weak,
     verify_strong,
     verify_weak,
@@ -19,6 +19,7 @@ from desopacity.cli import run
 from desopacity.desfile import serialize_des
 from desopacity.oracle import (
     GeneratorParams,
+    language_equivalent,
     random_des,
     strong_violation_search,
     validate_weak_witness,
@@ -110,12 +111,12 @@ def test_criterion_4_construction_properties():
             result = normalize(des)
             des_n = result.des_n
             assert language_equivalent(des, des_n)
-            assert len(observer(des_n).states) <= 2 ** des.state_count
+            assert len(observer(project(des_n)).states) <= 2 ** des.state_count
             assert is_deterministic(des_n)
             assert not (unobservable_reach(des_n, des_n.secret) - des_n.secret)
             if is_normal(des):
                 prime = strong_to_weak(des).des_prime
-                assert len(observer(prime).states) == len(observer(des).states)
+                assert len(observer(project(prime)).states) == len(observer(project(des)).states)
             checked += 1
         assert checked >= 200
 

@@ -3,23 +3,34 @@ import random
 import pytest
 
 from desopacity import (
-    SINK,
     Des,
-    ProductState,
     accessible,
-    full_observer_step,
     is_deterministic,
-    language_equivalent,
     load_fixture,
     make_events,
+    mask_of,
     observer,
-    product_step,
+    product_successors,
     project,
+    states_of,
     unobservable_reach,
 )
-from desopacity.oracle import simulate_observation
+from desopacity.automata import union_rows
+from desopacity.oracle import language_equivalent, simulate_observation
 
 from conftest import random_det_instance, random_weak_instance
+
+
+def _adjacency(des):
+    """Map (source, event) -> sorted tuple of targets."""
+    adj = {}
+    for (p, e, q) in des.transitions:
+        adj.setdefault((p, e), []).append(q)
+    return {key: tuple(sorted(targets)) for key, targets in adj.items()}
+
+
+def _projected_transitions(pg):
+    return {(q, j, r) for j, row in enumerate(pg.rows) for q in range(pg.state_count) for r in states_of(row[q])}
 
 
 def test_unobservable_reach_chain():
@@ -54,25 +65,25 @@ def test_project_all_observable_identity():
     des = load_fixture("fig1")
     pg = project(des)
     assert pg.state_count == des.state_count
-    assert pg.transitions == des.transitions
-    assert pg.initial == des.initial
+    assert pg.event_names == des.events.names
+    assert _projected_transitions(pg) == des.transitions
+    assert pg.initial == mask_of(des.initial)
 
 
 def test_project_chain():
     des = load_fixture("fig5")
     pg = project(des)
     a = 0
-    assert {q for (p, e, q) in pg.transitions if p == 0 and e == a} == {1, 2}  # gamma("1",a)={"2","3"}
-    assert {q for (p, e, q) in pg.transitions if p == 2 and e == a} == {3}  # gamma("3",a)={"4"}
+    assert pg.rows[a][0] == mask_of({1, 2})  # gamma("1",a)={"2","3"}
+    assert pg.rows[a][2] == mask_of({3})  # gamma("3",a)={"4"}
 
 
 def test_project_definitional_identity():
     for seed in range(20):
         des = random_weak_instance(seed, n=5)
         pg = project(des)
-        from desopacity.automata import _adjacency
-
         adj = _adjacency(des)
+        assert pg.initial == mask_of(unobservable_reach(des, des.initial))
         for q in range(des.state_count):
             for new_e, e in enumerate(des.events.observable_indices()):
                 ur_q = unobservable_reach(des, {q})
@@ -80,20 +91,19 @@ def test_project_definitional_identity():
                 for p in ur_q:
                     step.update(adj.get((p, e), ()))
                 expected = unobservable_reach(des, step)
-                got = {t for (p, pe, t) in pg.transitions if p == q and pe == new_e}
-                assert got == set(expected)
+                assert pg.rows[new_e][q] == mask_of(expected)
 
 
 def test_observer_chain():
     des = load_fixture("fig5")
-    obs = observer(des)
-    assert obs.states == (frozenset({0}), frozenset({1, 2}), frozenset({3}))
+    obs = observer(project(des))
+    assert obs.states == (mask_of({0}), mask_of({1, 2}), mask_of({3}))
 
 
 def test_observer_contains_expected_estimate():
     des = load_fixture("fig2")
-    obs = observer(des)
-    assert frozenset({1, 3, 4}) in obs.states  # states named "2","4","5"
+    obs = observer(project(des))
+    assert mask_of({1, 3, 4}) in obs.states  # states named "2","4","5"
 
 
 def test_observer_deterministic_all_observable():
@@ -103,15 +113,17 @@ def test_observer_deterministic_all_observable():
         transitions=frozenset({(0, 0, 1), (1, 1, 2)}),
         initial=frozenset({0}),
     )
-    assert [set(x) for x in observer(det_all_obs).states] == [{0}, {1}, {2}]
+    assert [states_of(x) for x in observer(project(det_all_obs)).states] == [(0,), (1,), (2,)]
 
 
 def test_observer_matches_direct_simulation():
     rng = random.Random(7)
     for seed in range(25):
         des = random_weak_instance(seed, n=5)
-        obs = observer(des)
+        obs = observer(project(des))
         names = list(obs.event_names)
+        for i, x in enumerate(obs.states):
+            assert x == mask_of(simulate_observation(des, des.initial, obs.observation(i)))
         if not names:
             continue
         for _ in range(10):
@@ -125,13 +137,13 @@ def test_observer_matches_direct_simulation():
             if i is None:
                 assert expected == frozenset()
             else:
-                assert obs.states[i] == expected
+                assert obs.states[i] == mask_of(expected)
 
 
 def test_observer_state_bound():
     for seed in range(30):
         des = random_weak_instance(seed, n=5)
-        assert len(observer(des).states) <= 2 ** des.state_count - 1
+        assert len(observer(project(des)).states) <= 2 ** des.state_count - 1
 
 
 def test_observer_empty_observable_alphabet():
@@ -141,65 +153,72 @@ def test_observer_empty_observable_alphabet():
         transitions=frozenset({(0, 0, 1)}),
         initial=frozenset({0}),
     )
-    obs = observer(des)
-    assert obs.states == (frozenset({0, 1}),)
+    obs = observer(project(des))
+    assert obs.states == (mask_of({0, 1}),)
     assert obs.delta == ((),)
 
 
 def test_full_observer_step_sink():
-    des = load_fixture("fig1")
-    b = des.events.index("b")
-    a = des.events.index("a")
-    assert full_observer_step(des, frozenset({3}), b) is SINK  # state "4" dies on b
-    assert full_observer_step(des, SINK, a) is SINK
+    pg = project(load_fixture("fig1"))
+    a = pg.event_names.index("a")
+    b = pg.event_names.index("b")
+    assert union_rows(pg.rows[b], mask_of({3})) == 0  # state "4" dies on b
+    assert union_rows(pg.rows[a], 0) == 0
 
 
 def test_full_observer_step_dashed_transition():
-    des = load_fixture("fig2")
-    a = des.events.index("a")
-    assert full_observer_step(des, frozenset({3}), a) == frozenset({4})  # {4} -a-> {5}
+    pg = project(load_fixture("fig2"))
+    a = pg.event_names.index("a")
+    assert union_rows(pg.rows[a], mask_of({3})) == mask_of({4})  # {4} -a-> {5}
 
 
 def test_full_observer_agrees_with_observer():
+    # every observer transition, and every transition into the empty
+    # estimate, against direct simulation of the original system
     for seed in range(20):
         des = random_weak_instance(seed, n=4)
-        obs = observer(des)
-        obs_indices = des.events.observable_indices()
+        obs = observer(project(des))
         for i, x in enumerate(obs.states):
-            for j, e in enumerate(obs_indices):
+            for j, name in enumerate(obs.event_names):
                 t = obs.delta[i][j]
-                stepped = full_observer_step(des, x, e)
+                stepped = simulate_observation(des, states_of(x), [name])
                 if t is None:
-                    assert stepped is SINK
+                    assert stepped == frozenset()
                 else:
-                    assert stepped == obs.states[t]
+                    assert mask_of(stepped) == obs.states[t]
 
 
 def test_full_observer_step_rejects_unobservable():
+    # the kernel has rows for observable events only
     des = load_fixture("fig5")
-    with pytest.raises(ValueError):
-        full_observer_step(des, frozenset({0}), des.events.index("u"))
+    pg = project(des)
+    assert pg.event_names == ("a",)
+    assert len(pg.rows) == 1
 
 
 def test_product_step_to_sink():
-    des = load_fixture("fig1")
-    pg = project(des)
-    b = pg.events.index("b")
-    succ = product_step(pg, ProductState(1, frozenset({3})), b)  # (2,{4}) on b
-    assert succ == [ProductState(2, SINK)]
+    pg = project(load_fixture("fig1"))
+    b = pg.event_names.index("b")
+    successors = product_successors(pg)
+    assert [v for j, v in successors((1, mask_of({3}))) if j == b] == [(2, 0)]  # (2,{4}) on b
+    # the empty estimate absorbs every event
+    assert all(z == 0 for _j, (_q, z) in successors((0, 0)))
 
 
 def test_product_step_empty():
-    des = load_fixture("fig1")
-    pg = project(des)
-    b = pg.events.index("b")
-    assert product_step(pg, ProductState(3, frozenset({0})), b) == []
+    pg = project(load_fixture("fig1"))
+    b = pg.event_names.index("b")
+    successors = product_successors(pg)
+    assert [v for j, v in successors((3, mask_of({0}))) if j == b] == []  # dead end
 
 
 def test_product_step_requires_projected_input():
-    des = load_fixture("fig5")
-    with pytest.raises(ValueError):
-        product_step(des, ProductState(0, frozenset({0})), 0)
+    # the product steps through the projection: unobservable moves are
+    # folded into each observable step on both components
+    des = load_fixture("fig5")  # "1" -a-> "2" -u-> "3"
+    successors = product_successors(project(des))
+    both = mask_of({1, 2})
+    assert list(successors((0, mask_of({0})))) == [(0, (1, both)), (0, (2, both))]
 
 
 def test_accessible_drops_isolated_state():
@@ -211,15 +230,17 @@ def test_accessible_drops_isolated_state():
         secret=frozenset({2}),
         state_names=("p", "q", "iso"),
     )
-    acc = accessible(des)
+    acc, remap = accessible(des)
     assert acc.state_count == 2
     assert acc.state_names == ("p", "q")
     assert acc.secret == frozenset()
+    assert remap == {0: 0, 1: 1}
 
 
 def test_accessible_identity_when_reachable():
     des = load_fixture("fig5")
-    acc = accessible(des)
+    acc, remap = accessible(des)
+    assert remap == {q: q for q in range(des.state_count)}
     assert acc.state_count == des.state_count
     assert acc.transitions == des.transitions
 
@@ -255,8 +276,6 @@ def test_language_equivalent_rejects_bad_inputs():
 
 
 def _enumerate_language(des, max_len):
-    from desopacity.automata import _adjacency
-
     adj = _adjacency(des)
     q0 = next(iter(des.initial))
     words = {()}

@@ -4,8 +4,8 @@ from importlib import resources
 
 import pytest
 
-from desopacity import load_fixture, parse_des, serialize_des
-from desopacity.cli import run
+from desopacity import cli, load_fixture, parse_des, serialize_des
+from desopacity.cli import build_parser, run
 from desopacity.desfile import DesFormatError
 
 
@@ -56,6 +56,31 @@ def test_parse_diagnostics():
     doc = dict(base, transitions=[["1", "zz", "2"]])
     with pytest.raises(DesFormatError, match="unknown event"):
         parse_des(json.dumps(doc))
+
+
+MALFORMED = {
+    "observable-string": ("observable", lambda doc: doc["events"][0].update(observable="false")),
+    "observable-int": ("observable", lambda doc: doc["events"][0].update(observable=1)),
+    "secret-string": ("'secret' must be a list", lambda doc: doc.update(secret="2")),
+    "secret-int": ("'secret' must be a list", lambda doc: doc.update(secret=5)),
+    "nonsecret-object": ("'nonsecret' must be a list", lambda doc: doc.update(nonsecret={"1": True})),
+    "transitions-int": ("'transitions' must be a list", lambda doc: doc.update(transitions=5)),
+    "initial-string": ("'initial' must be a list", lambda doc: doc.update(initial="1")),
+    "transition-state-list": ("unknown state", lambda doc: doc.update(transitions=[[["1"], "a", "2"]])),
+    "initial-state-list": ("unknown state", lambda doc: doc.update(initial=[["1"]])),
+    "transition-event-list": ("unknown event", lambda doc: doc.update(transitions=[["1", ["a"], "2"]])),
+}
+
+
+@pytest.mark.parametrize("message, corrupt", MALFORMED.values(), ids=MALFORMED.keys())
+def test_parse_rejects_malformed_fields(message, corrupt, tmp_path):
+    doc = json.loads(serialize_des(load_fixture("fig5")))
+    corrupt(doc)
+    with pytest.raises(DesFormatError, match=message):
+        parse_des(json.dumps(doc))
+    path = tmp_path / "bad.des"
+    path.write_text(json.dumps(doc))
+    assert invoke(["verify-weak", "--input", str(path), "--k", "1"])[0] == 2
 
 
 def test_cli_verify_weak_fig1():
@@ -201,3 +226,26 @@ def test_cli_error_paths(tmp_path):
     # normalize rejects nondeterministic input through exit code 2
     code, _ = invoke(["normalize", "--input", fixture_path("fig2"), "--output", str(tmp_path / "x.des")])
     assert code == 2
+
+
+def test_cli_bench_rejects_zero_repeat():
+    code, out = invoke(["bench", "--input", fixture_path("fig1"), "--k-list", "1", "--repeat", "0"])
+    assert code == 2
+    assert out == ""
+
+
+def test_cli_builds_parser_once(monkeypatch):
+    calls = []
+
+    def counting():
+        calls.append(None)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    try:
+        for _ in range(2):
+            assert invoke(["verify-weak", "--input", fixture_path("fig2"), "--k", "1"])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1

@@ -7,20 +7,25 @@ from desopacity import (
     Des,
     is_deterministic,
     is_normal,
-    language_equivalent,
     load_fixture,
     make_events,
     normalize,
     observer,
+    project,
     reduce_to_weak,
     strong_to_weak,
     unobservable_reach,
     verify_strong,
     verify_weak,
 )
-from desopacity.automata import _adjacency
+from desopacity.oracle import language_equivalent
 
 from conftest import random_det_instance
+
+
+def _successor(des):
+    """Map (state, event) -> its one target in a deterministic system."""
+    return {(p, e): q for (p, e, q) in des.transitions}
 
 
 def _named_transitions(des):
@@ -90,8 +95,8 @@ def test_normalize_run_agreement_up_to_priming():
             continue
         result = normalize(des)
         des_n = result.des_n
-        adj = _adjacency(des)
-        adj_n = _adjacency(des_n)
+        adj = _successor(des)
+        adj_n = _successor(des_n)
         # unreachable originals are pruned too, so recover indices from names
         unprime = {}
         for i, name in enumerate(des_n.state_names):
@@ -108,11 +113,11 @@ def test_normalize_run_agreement_up_to_priming():
                     assert (t is None) == (tn is None)
                     if t is None:
                         continue
-                    assert unprime[tn[0]] == t[0]
+                    assert unprime[tn] == t
                     if des.events[e].observable:
                         # after an observable event the run is back in an original state
-                        assert not des_n.state_names[tn[0]].endswith("'")
-                    nxt.append((t[0], tn[0], e))
+                        assert not des_n.state_names[tn].endswith("'")
+                    nxt.append((t, tn, e))
             frontier = nxt
 
 
@@ -123,7 +128,7 @@ def test_normalize_structural_guarantees():
         des_n = result.des_n
         assert is_deterministic(des_n)
         assert not (unobservable_reach(des_n, des_n.secret) - des_n.secret)
-        assert len(observer(des_n).states) <= 2 ** des.state_count
+        assert len(observer(project(des_n)).states) <= 2 ** des.state_count
 
 
 def test_strong_to_weak_fig8():
@@ -210,7 +215,7 @@ def test_observer_counts_preserved_for_normal_inputs():
         if not is_normal(des):
             continue
         result = strong_to_weak(des)
-        assert len(observer(result.des_prime).states) == len(observer(des).states)
+        assert len(observer(project(result.des_prime)).states) == len(observer(project(des)).states)
         checked += 1
     assert checked >= 50
 

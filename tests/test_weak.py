@@ -11,14 +11,21 @@ from desopacity import (
     compute_seeds,
     load_fixture,
     make_events,
+    mask_of,
     observer,
-    verify_current_state_opacity,
+    project,
+    states_of,
     verify_weak,
 )
-from desopacity.oracle import validate_weak_witness
-from desopacity.weak import Verdict, VerifyStats, check_k, shortest_observations
+from desopacity.oracle import current_state_opaque, simulate_observation, validate_weak_witness
+from desopacity.weak import Verdict, VerifyStats, check_k
 
 from conftest import random_weak_instance
+
+
+def _seeds(des):
+    obs = observer(project(des))
+    return obs, compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret))
 
 
 def test_check_k():
@@ -32,33 +39,60 @@ def test_check_k():
 
 def test_compute_seeds_fig1():
     des = load_fixture("fig1")
-    seeds = compute_seeds(observer(des), des.secret, des.nonsecret)
-    pairs = {(s.secret_state, s.nonsecret_estimate) for s in seeds}
-    assert pairs == {(1, frozenset({3}))}  # (state "2", {"4"})
-    assert seeds[0].mu == ("a",)
+    obs, seeds = _seeds(des)
+    assert list(seeds) == [(1, mask_of({3}))]  # (state "2", {"4"})
+    assert obs.observation(seeds[(1, mask_of({3}))]) == ("a",)
 
 
 def test_compute_seeds_fig2():
     des = load_fixture("fig2")
-    seeds = compute_seeds(observer(des), des.secret, des.nonsecret)
+    obs, seeds = _seeds(des)
     assert len(seeds) == 1
-    assert seeds[0].secret_state == 1
-    assert seeds[0].nonsecret_estimate == frozenset({3})
-    assert seeds[0].origin_estimate == frozenset({1, 3, 4})  # estimate {"2","4","5"}
+    (q, z), i = next(iter(seeds.items()))
+    assert q == 1
+    assert z == mask_of({3})
+    assert obs.states[i] == mask_of({1, 3, 4})  # estimate {"2","4","5"}
 
 
 def test_compute_seeds_no_secret():
     des = load_fixture("fig5")
-    seeds = compute_seeds(observer(des), frozenset(), des.nonsecret)
-    assert seeds == []
+    obs = observer(project(des))
+    assert compute_seeds(obs, 0, mask_of(des.nonsecret)) == {}
 
 
 def test_shortest_observations_event_order_tiebreak():
-    des = load_fixture("fig1")
-    obs = observer(des)
-    mus = shortest_observations(obs)
-    assert mus[0] == ()
-    assert all(mu is not None for mu in mus)
+    # each observer state's observation is the first string reaching its
+    # estimate in length-then-event-table order
+    for seed in range(20):
+        des = random_weak_instance(seed, n=5)
+        obs = observer(project(des))
+        names = obs.event_names
+        first = {}
+        level = [()]
+        for _ in range(len(obs.states)):
+            following = []
+            for mu in level:
+                x = mask_of(simulate_observation(des, des.initial, mu))
+                if x and x not in first:
+                    first[x] = mu
+                    following += [mu + (name,) for name in names]
+            level = following
+        assert [obs.observation(i) for i in range(len(obs.states))] == [first[x] for x in obs.states]
+
+
+def test_witness_tie_break_follows_event_table_order():
+    # "b" is declared before "a"; both reveal secret state 3 at once, so the
+    # witness is the first observable event in table order, not by name
+    des = Des(
+        state_count=6,
+        events=make_events(["b", "a"]),
+        transitions=frozenset({(0, 0, 3), (0, 1, 3), (0, 1, 5)}),
+        initial=frozenset({0}),
+        secret=frozenset({3}),
+        nonsecret=frozenset({0, 1, 2, 4}),
+    )
+    v = verify_weak(des, 0)
+    assert v.witness == Witness(("b",), 3, (), mask_of({3}))
 
 
 def _classical_bfs(adj, seeds, k):
@@ -105,6 +139,34 @@ def test_bounded_bfs_parent_links():
         path.append(label)
     assert cur == 0
     assert len(path) == 2
+
+
+def test_bounded_bfs_stops_at_first_stop_vertex():
+    rng = random.Random(5)
+    for trial in range(60):
+        n = rng.randrange(2, 100)
+        adj = {}
+        for _ in range(rng.randrange(1, 3 * n)):
+            adj.setdefault(rng.randrange(n), []).append(rng.randrange(n))
+        seeds = rng.sample(range(n), rng.randrange(1, min(4, n) + 1))
+        goals = set(rng.sample(range(n), rng.randrange(1, 4)))
+        k = rng.choice([0, 1, 3, INFINITE])
+        succ = lambda u: [("e", v) for v in adj.get(u, ())]
+        full, full_depth = bounded_bfs(succ, seeds, k)
+        marked, depth = bounded_bfs(succ, seeds, k, stop=goals.__contains__)
+        order = list(full)
+        hits = [i for i, v in enumerate(order) if v in goals]
+        if not hits:
+            assert marked == full and depth == full_depth
+            continue
+        assert list(marked) == order[: hits[0] + 1]
+        assert all(marked[v] == full[v] for v in marked)
+        hit = order[hits[0]]
+        distance = 0
+        while marked[hit] is not None:
+            hit = marked[hit][0]
+            distance += 1
+        assert depth == distance
 
 
 def test_bounded_bfs_matches_classical_on_random_digraphs():
@@ -157,7 +219,7 @@ def test_verify_weak_secret_initial_no_nonsecret():
     )
     v = verify_weak(des, 0)
     assert not v.opaque
-    assert v.witness == Witness((), 0, (), frozenset({0}))
+    assert v.witness == Witness((), 0, (), mask_of({0}))
 
 
 def test_verify_weak_witnesses_validate():
@@ -167,6 +229,24 @@ def test_verify_weak_witnesses_validate():
             v = verify_weak(des, k)
             if not v.opaque:
                 assert validate_weak_witness(des, k, v.witness)
+
+
+def test_verify_weak_witnesses_validate_past_oracle_sizes():
+    # the oracles cannot enumerate these sizes; the validator is polynomial
+    violations = through_product = 0
+    for seed in range(120):
+        n = 10 + seed % 11  # n in 10..20
+        des = random_weak_instance(seed, n=n, density=1.0)
+        for k in (0, 1, 3, INFINITE):
+            v = verify_weak(des, k)
+            if not v.opaque:
+                violations += 1
+                through_product += bool(v.witness.nu)
+                assert validate_weak_witness(des, k, v.witness)
+                assert states_of(v.witness.origin_estimate) == tuple(
+                    sorted(simulate_observation(des, des.initial, v.witness.mu))
+                )
+    assert violations >= 150 and through_product >= 25
 
 
 def test_verify_weak_monotone_in_k():
@@ -221,7 +301,7 @@ def test_verify_weak_rejects_overlap():
 
 
 def test_current_state_opacity_fig5():
-    assert verify_current_state_opacity(load_fixture("fig5")).opaque
+    assert current_state_opaque(load_fixture("fig5"))
 
 
 def test_current_state_opacity_secret_initial():
@@ -232,18 +312,18 @@ def test_current_state_opacity_secret_initial():
         initial=frozenset({0}),
         secret=frozenset({0}),
     )
-    assert not verify_current_state_opacity(des).opaque
+    assert not current_state_opaque(des)
 
 
 def test_current_state_opacity_agrees_with_k0():
     for seed in range(80):
         des = random_weak_instance(seed, n=5)
-        assert verify_current_state_opacity(des).opaque == verify_weak(des, 0).opaque
+        assert current_state_opaque(des) == verify_weak(des, 0).opaque
 
 
 def test_verdict_requires_witness_consistency():
     stats = VerifyStats(0, 0, 0, 0)
     with pytest.raises(ValueError):
-        Verdict(opaque=True, witness=Witness((), 0, (), frozenset()), stats=stats)
+        Verdict(opaque=True, witness=Witness((), 0, (), 0), stats=stats)
     with pytest.raises(ValueError):
         Verdict(opaque=False, witness=None, stats=stats)
