@@ -178,7 +178,6 @@ class Projection:
     and no closure runs per set.
     """
 
-    state_count: int
     event_names: tuple
     rows: tuple
     initial: int
@@ -200,7 +199,6 @@ def project(des: Des) -> Projection:
         for step in succ
     )
     return Projection(
-        state_count=des.state_count,
         event_names=tuple(des.events[e].name for e in columns),
         rows=rows,
         initial=union_rows(closures, mask_of(des.initial)),
@@ -223,10 +221,6 @@ class ObserverAutomaton:
     states: tuple
     delta: tuple
     parents: tuple
-
-    @property
-    def initial(self) -> int:
-        return self.states[0]
 
     def observation(self, i: int) -> tuple:
         """A shortest observation reaching state i, ties broken by event-table order."""

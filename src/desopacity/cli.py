@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .automata import Des, observer, project
-from .desfile import DesFormatError, parse_des, serialize_des
+from .desfile import parse_des, serialize_des
 from .dot import des_to_dot, observer_to_dot
 from .oracle import (
     GeneratorParams,
@@ -22,12 +22,8 @@ from .oracle import (
     strong_violation_search,
     weak_violation_search,
 )
-from .strong import normalize, reduce_to_weak, strong_to_weak, verify_strong
+from .strong import normalize, reduce_to_weak, strong_to_weak
 from .weak import INFINITE, verify_weak
-
-
-class CliError(Exception):
-    pass
 
 
 def _parse_k(text: str):
@@ -36,21 +32,14 @@ def _parse_k(text: str):
     try:
         k = int(text)
     except ValueError:
-        raise CliError(f"invalid k: {text!r} (expected a nonnegative integer or 'inf')")
+        raise ValueError(f"invalid k: {text!r} (expected a nonnegative integer or 'inf')")
     if k < 0:
-        raise CliError("k must be nonnegative")
+        raise ValueError("k must be nonnegative")
     return k
 
 
 def _load(path: str) -> Des:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
-    try:
-        return parse_des(text)
-    except DesFormatError as exc:
-        raise CliError(f"{path}: {exc}")
+    return parse_des(Path(path).read_text())
 
 
 def _fill_nonsecret(des: Des) -> Des:
@@ -59,13 +48,6 @@ def _fill_nonsecret(des: Des) -> Des:
         return des
     complement = frozenset(range(des.state_count)) - des.secret
     return dataclasses.replace(des, nonsecret=complement)
-
-
-def _write(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}")
 
 
 def _emit_verdict(verdict, des_for_names, args, out) -> int:
@@ -86,54 +68,37 @@ def _emit_verdict(verdict, des_for_names, args, out) -> int:
 
 def _cmd_verify_weak(args, out) -> int:
     des = _load(args.input)
-    try:
-        verdict = verify_weak(des, _parse_k(args.k))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    verdict = verify_weak(des, _parse_k(args.k))
     if args.dot:
         directory = Path(args.dot)
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CliError(f"cannot create {args.dot}: {exc}")
-        _write(str(directory / "des.dot"), des_to_dot(des))
-        _write(str(directory / "observer.dot"), observer_to_dot(observer(project(des)), des))
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "des.dot").write_text(des_to_dot(des))
+        (directory / "observer.dot").write_text(observer_to_dot(observer(project(des)), des))
     return _emit_verdict(verdict, des, args, out)
 
 
 def _cmd_verify_strong(args, out) -> int:
     des = _fill_nonsecret(_load(args.input))
-    try:
-        _norm, reduction = reduce_to_weak(des)
-        verdict = verify_weak(reduction.des_prime, _parse_k(args.k))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    _norm, reduction = reduce_to_weak(des)
+    verdict = verify_weak(reduction.des_prime, _parse_k(args.k))
     return _emit_verdict(verdict, reduction.des_prime, args, out)
 
 
 def _cmd_normalize(args, out) -> int:
     des = _fill_nonsecret(_load(args.input))
-    try:
-        result = normalize(des)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    _write(args.output, serialize_des(result.des_n))
+    Path(args.output).write_text(serialize_des(normalize(des).des_n))
     return 0
 
 
 def _cmd_transform(args, out) -> int:
     des = _fill_nonsecret(_load(args.input))
-    try:
-        result = strong_to_weak(des)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    _write(args.output, serialize_des(result.des_prime))
+    Path(args.output).write_text(serialize_des(strong_to_weak(des).des_prime))
     return 0
 
 
 def _cmd_observer(args, out) -> int:
     des = _load(args.input)
-    _write(args.dot, observer_to_dot(observer(project(des)), des))
+    Path(args.dot).write_text(observer_to_dot(observer(project(des)), des))
     return 0
 
 
@@ -141,28 +106,24 @@ def _cmd_oracle(args, out) -> int:
     des = _load(args.input)
     k = _parse_k(args.k)
     bounds = OracleBounds(args.mu_max, args.nu_max)
-    try:
-        if args.kind == "weak":
-            found = weak_violation_search(des, k, bounds)
-            if found is None:
-                print("OPAQUE", file=out)
-                return 0
-            mu, x, nu = found
-            print("NOT_OPAQUE", file=out)
-            print(f"mu={''.join(mu)}", file=out)
-            print(f"secret={des.state_name(x)}", file=out)
-            print(f"nu={''.join(nu)}", file=out)
-            return 1
-        des = _fill_nonsecret(des)
-        s = strong_violation_search(des, k, bounds)
-        if s is None:
+    if args.kind == "weak":
+        found = weak_violation_search(des, k, bounds)
+        if found is None:
             print("OPAQUE", file=out)
             return 0
+        mu, x, nu = found
         print("NOT_OPAQUE", file=out)
-        print(f"s={''.join(s)}", file=out)
+        print(f"mu={''.join(mu)}", file=out)
+        print(f"secret={des.state_name(x)}", file=out)
+        print(f"nu={''.join(nu)}", file=out)
         return 1
-    except ValueError as exc:
-        raise CliError(str(exc))
+    s = strong_violation_search(_fill_nonsecret(des), k, bounds)
+    if s is None:
+        print("OPAQUE", file=out)
+        return 0
+    print("NOT_OPAQUE", file=out)
+    print(f"s={''.join(s)}", file=out)
+    return 1
 
 
 def _cmd_random(args, out) -> int:
@@ -177,11 +138,7 @@ def _cmd_random(args, out) -> int:
         deterministic=args.deterministic,
         rng_seed=args.seed,
     )
-    try:
-        des = random_des(params)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    _write(args.output, serialize_des(des))
+    Path(args.output).write_text(serialize_des(random_des(params)))
     return 0
 
 
@@ -189,9 +146,9 @@ def _cmd_bench(args, out) -> int:
     des = _load(args.input)
     ks = [_parse_k(part) for part in args.k_list.split(",") if part]
     if not ks:
-        raise CliError("--k-list must name at least one k")
+        raise ValueError("--k-list must name at least one k")
     if args.repeat < 1:
-        raise CliError("--repeat must be at least 1")
+        raise ValueError("--repeat must be at least 1")
     for k in ks:
         best = None
         explored = None
@@ -274,6 +231,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None, out=None) -> int:
+    """Run one command and return its exit code.
+
+    This is the one place errors become exit 2: a usage error, or any
+    ``ValueError`` (malformed or undecodable input, a library
+    precondition) or ``OSError`` (an unreadable or unwritable path) that a
+    command raises, reported as one ``error:`` line on stderr.
+    """
     out = out if out is not None else sys.stdout
     try:
         args = _parser().parse_args(argv)
@@ -281,7 +245,7 @@ def run(argv=None, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except CliError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

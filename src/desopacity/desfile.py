@@ -27,7 +27,7 @@ class DesFormatError(ValueError):
 def parse_des(text: str) -> Des:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise DesFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DesFormatError("document must be a JSON object")

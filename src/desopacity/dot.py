@@ -13,8 +13,8 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def des_to_dot(des: Des, title: str = "G") -> str:
-    lines = [f"digraph {_quote(title)} {{", "  rankdir=LR;", '  __init [shape=point, label=""];']
+def des_to_dot(des: Des) -> str:
+    lines = ['digraph "G" {', "  rankdir=LR;", '  __init [shape=point, label=""];']
     for q in range(des.state_count):
         shape = "doublecircle" if q in des.secret else "circle"
         lines.append(f"  n{q} [shape={shape}, label={_quote(des.state_name(q))}];")
@@ -28,11 +28,11 @@ def des_to_dot(des: Des, title: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def observer_to_dot(obs: ObserverAutomaton, des: Des, title: str = "observer") -> str:
+def observer_to_dot(obs: ObserverAutomaton, des: Des) -> str:
     def estimate_label(x):
         return "{" + ",".join(des.state_name(q) for q in states_of(x)) + "}"
 
-    lines = [f"digraph {_quote(title)} {{", "  rankdir=LR;", '  __init [shape=point, label=""];']
+    lines = ['digraph "observer" {', "  rankdir=LR;", '  __init [shape=point, label=""];']
     for i, x in enumerate(obs.states):
         lines.append(f"  s{i} [shape=circle, label={_quote(estimate_label(x))}];")
     lines.append("  __init -> s0;")

@@ -23,10 +23,9 @@ from .weak import INFINITE, KBound, Witness, check_k
 class OracleBounds:
     mu_max: int
     nu_max: int
-    w_cap_factor: int = 1
 
     def __post_init__(self):
-        if self.mu_max < 0 or self.nu_max < 0 or self.w_cap_factor < 0:
+        if self.mu_max < 0 or self.nu_max < 0:
             raise ValueError("oracle bounds must be nonnegative")
 
 
@@ -243,7 +242,7 @@ def strong_violation_search(des: Des, k: KBound, bounds: OracleBounds) -> Option
         steps free of secret states (searched over runs of bounded length)."""
         got = verdict_cache.get(mu)
         if got is None:
-            got = _covered(des, adj, q0, mu, k, bounds)
+            got = _covered(des, adj, q0, mu, k)
             verdict_cache[mu] = got
         return got
 
@@ -271,16 +270,13 @@ def strong_violation_search(des: Des, k: KBound, bounds: OracleBounds) -> Option
     return None
 
 
-def _covered(des: Des, adj, q0, mu, k, bounds) -> bool:
+def _covered(des: Des, adj, q0, mu, k) -> bool:
     """Search for a run w with P(w)=mu avoiding secret states whenever fewer
     than k observable steps remain.  Nodes are (state, observed-so-far);
-    the length cap from the bounds is a search safety net, reachability
+    the length cap is a search safety net, reachability
     over these nodes already visits every relevant run shape."""
     total = len(mu)
-    if bounds.w_cap_factor:
-        cap = bounds.w_cap_factor * ((des.state_count + 1) * (total + 1) + des.state_count)
-    else:
-        cap = (des.state_count + 1) * (total + 1) + des.state_count
+    cap = (des.state_count + 1) * (total + 1) + des.state_count
     mu_indices = [des.events.index(n) for n in mu]
     unobs = des.events.unobservable_indices()
 

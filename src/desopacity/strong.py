@@ -29,7 +29,6 @@ from .weak import KBound, Verdict, verify_weak
 class NormalizationResult:
     des_n: Des
     prime_map: dict  # original state -> index of its surviving secret copy
-    original_count: int
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def normalize(des: Des) -> NormalizationResult:
     assert not (reach - trimmed.secret), (
         "normalized system has a nonsecret state in the unobservable reach of a secret state"
     )
-    return NormalizationResult(trimmed, prime_map, n)
+    return NormalizationResult(trimmed, prime_map)
 
 
 def _fresh_event_name(events: EventTable) -> str:

@@ -125,7 +125,11 @@ def _revealing(vertex) -> bool:
 
 
 def verify_weak(des: Des, k: KBound) -> Verdict:
-    """Decide weak k-step opacity, with a validated witness on violation."""
+    """Decide weak k-step opacity, with a witness on violation.
+
+    Nothing here validates the witness; the tests and the benchmark check
+    each one with ``oracle.validate_weak_witness``.
+    """
     k = check_k(k)
     pg = project(des)
     obs = observer(pg)

@@ -30,7 +30,7 @@ def _adjacency(des):
 
 
 def _projected_transitions(pg):
-    return {(q, j, r) for j, row in enumerate(pg.rows) for q in range(pg.state_count) for r in states_of(row[q])}
+    return {(q, j, r) for j, row in enumerate(pg.rows) for q, succ in enumerate(row) for r in states_of(succ)}
 
 
 def test_unobservable_reach_chain():
@@ -64,7 +64,7 @@ def test_unobservable_reach_monotone_idempotent():
 def test_project_all_observable_identity():
     des = load_fixture("fig1")
     pg = project(des)
-    assert pg.state_count == des.state_count
+    assert all(len(row) == des.state_count for row in pg.rows)
     assert pg.event_names == des.events.names
     assert _projected_transitions(pg) == des.transitions
     assert pg.initial == mask_of(des.initial)

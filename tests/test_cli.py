@@ -57,6 +57,9 @@ def test_parse_diagnostics():
     with pytest.raises(DesFormatError, match="unknown event"):
         parse_des(json.dumps(doc))
 
+    with pytest.raises(DesFormatError, match="invalid JSON"):
+        parse_des("[" * 200000)
+
 
 MALFORMED = {
     "observable-string": ("observable", lambda doc: doc["events"][0].update(observable="false")),
@@ -216,16 +219,43 @@ def test_cli_random_and_bench(tmp_path):
     assert explored[1] == explored[2]
 
 
-def test_cli_error_paths(tmp_path):
-    code, _ = invoke(["verify-weak", "--input", "/does/not/exist", "--k", "1"])
-    assert code == 2
+def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.des"
     bad.write_text("{not json")
-    code, _ = invoke(["verify-weak", "--input", str(bad), "--k", "1"])
-    assert code == 2
-    # normalize rejects nondeterministic input through exit code 2
-    code, _ = invoke(["normalize", "--input", fixture_path("fig2"), "--output", str(tmp_path / "x.des")])
-    assert code == 2
+    latin1 = tmp_path / "latin1.des"
+    latin1.write_bytes(b"\xff\xfe{")
+    deep = tmp_path / "deep.des"
+    deep.write_text("[" * 200000)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    fig1 = fixture_path("fig1")
+    cases = [
+        ["verify-weak", "--input", str(tmp_path / "missing.des"), "--k", "1"],
+        ["verify-weak", "--input", str(bad), "--k", "1"],
+        ["verify-weak", "--input", str(deep), "--k", "1"],
+        ["verify-weak", "--input", str(latin1), "--k", "1"],
+        ["verify-strong", "--input", str(latin1), "--k", "1"],
+        ["observer", "--input", str(latin1), "--dot", str(tmp_path / "o.dot")],
+        ["oracle", "weak", "--input", str(latin1), "--k", "1", "--mu-max", "2", "--nu-max", "1"],
+        ["oracle", "weak", "--input", fig1, "--k", "1", "--mu-max", "-1", "--nu-max", "1"],
+        # normalize rejects nondeterministic input
+        ["normalize", "--input", fixture_path("fig2"), "--output", str(tmp_path / "x.des")],
+        ["normalize", "--input", fixture_path("fig6"), "--output", str(plain / "x.des")],
+        ["verify-weak", "--input", fig1, "--k", "1", "--dot", str(plain)],
+    ]
+    for argv in cases:
+        code, out = invoke(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+        assert "Traceback" not in err, argv
+
+
+def test_cli_main_exits_with_run_code(monkeypatch):
+    monkeypatch.setattr("sys.argv", ["desopacity", "verify-weak", "--input", "/does/not/exist", "--k", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
 
 
 def test_cli_bench_rejects_zero_repeat():
