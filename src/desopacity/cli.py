@@ -7,7 +7,6 @@ exit with 0 (opaque), 1 (not opaque), or 2 (usage or input error).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 import time
@@ -19,51 +18,48 @@ from .dot import des_to_dot, observer_to_dot
 from .oracle import (
     GeneratorParams,
     OracleBounds,
+    random_des,
     strong_violation_search,
     weak_violation_search,
 )
 from .strong import normalize, reduce_to_weak, strong_to_weak
-from .weak import INFINITE, verify_weak
+from .weak import INFINITE, check_k, verify_weak
 
 
 def _parse_k(text: str):
     if text == "inf":
         return INFINITE
     try:
-        k = int(text)
+        return check_k(int(text))
     except ValueError:
         raise ValueError(f"invalid k: {text!r} (expected a nonnegative integer or 'inf')")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return k
 
 
 def _load(path: str) -> Des:
     return parse_des(Path(path).read_text())
 
 
-def _fill_nonsecret(des: Des) -> Des:
-    """Strong-mode commands treat an absent nonsecret set as the complement."""
-    if des.nonsecret:
-        return des
-    complement = frozenset(range(des.state_count)) - des.secret
-    return dataclasses.replace(des, nonsecret=complement)
+def _emit(opaque: bool, witness, des_for_names, out) -> int:
+    """Print the verdict line and, if given, a (mu, secret state, nu) witness."""
+    print("OPAQUE" if opaque else "NOT_OPAQUE", file=out)
+    if witness is not None:
+        mu, secret_state, nu = witness
+        print(f"mu={''.join(mu)}", file=out)
+        print(f"secret={des_for_names.state_name(secret_state)}", file=out)
+        print(f"nu={''.join(nu)}", file=out)
+    return 0 if opaque else 1
 
 
 def _emit_verdict(verdict, des_for_names, args, out) -> int:
-    print("OPAQUE" if verdict.opaque else "NOT_OPAQUE", file=out)
-    if args.witness and verdict.witness is not None:
-        w = verdict.witness
-        print(f"mu={''.join(w.mu)}", file=out)
-        print(f"secret={des_for_names.state_name(w.secret_state)}", file=out)
-        print(f"nu={''.join(w.nu)}", file=out)
+    w = verdict.witness if args.witness else None
+    code = _emit(verdict.opaque, w and (w.mu, w.secret_state, w.nu), des_for_names, out)
     if args.stats:
         s = verdict.stats
         print(f"observer_states={s.observer_states}", file=out)
         print(f"h_states={s.h_states}", file=out)
         print(f"product_states_explored={s.product_states_explored}", file=out)
         print(f"bfs_depth={s.bfs_depth_reached}", file=out)
-    return 0 if verdict.opaque else 1
+    return code
 
 
 def _cmd_verify_weak(args, out) -> int:
@@ -78,21 +74,18 @@ def _cmd_verify_weak(args, out) -> int:
 
 
 def _cmd_verify_strong(args, out) -> int:
-    des = _fill_nonsecret(_load(args.input))
-    _norm, reduction = reduce_to_weak(des)
+    _norm, reduction = reduce_to_weak(_load(args.input))
     verdict = verify_weak(reduction.des_prime, _parse_k(args.k))
     return _emit_verdict(verdict, reduction.des_prime, args, out)
 
 
 def _cmd_normalize(args, out) -> int:
-    des = _fill_nonsecret(_load(args.input))
-    Path(args.output).write_text(serialize_des(normalize(des).des_n))
+    Path(args.output).write_text(serialize_des(normalize(_load(args.input)).des_n))
     return 0
 
 
 def _cmd_transform(args, out) -> int:
-    des = _fill_nonsecret(_load(args.input))
-    Path(args.output).write_text(serialize_des(strong_to_weak(des).des_prime))
+    Path(args.output).write_text(serialize_des(strong_to_weak(_load(args.input)).des_prime))
     return 0
 
 
@@ -108,27 +101,15 @@ def _cmd_oracle(args, out) -> int:
     bounds = OracleBounds(args.mu_max, args.nu_max)
     if args.kind == "weak":
         found = weak_violation_search(des, k, bounds)
-        if found is None:
-            print("OPAQUE", file=out)
-            return 0
-        mu, x, nu = found
-        print("NOT_OPAQUE", file=out)
-        print(f"mu={''.join(mu)}", file=out)
-        print(f"secret={des.state_name(x)}", file=out)
-        print(f"nu={''.join(nu)}", file=out)
-        return 1
-    s = strong_violation_search(_fill_nonsecret(des), k, bounds)
-    if s is None:
-        print("OPAQUE", file=out)
-        return 0
-    print("NOT_OPAQUE", file=out)
-    print(f"s={''.join(s)}", file=out)
-    return 1
+        return _emit(found is None, found, des, out)
+    s = strong_violation_search(des, k, bounds)
+    code = _emit(s is None, None, des, out)
+    if s is not None:
+        print(f"s={''.join(s)}", file=out)
+    return code
 
 
 def _cmd_random(args, out) -> int:
-    from .oracle import random_des
-
     params = GeneratorParams(
         state_count=args.states,
         observable_event_count=args.obs_events,

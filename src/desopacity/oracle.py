@@ -224,11 +224,12 @@ def strong_violation_search(des: Des, k: KBound, bounds: OracleBounds) -> Option
     checking each against the bounded run search; the walk prunes strings
     whose (state, run-history signature) pair repeats an earlier one, since
     both the generated continuations and the coverage of every extended
-    observation are determined by that pair.
+    observation are determined by that pair.  Only ``secret`` is read, so an
+    empty ``nonsecret`` stands for the complement of ``secret``.
     """
     if not is_deterministic(des):
         raise ValueError("strong opacity is defined for deterministic systems only")
-    if len(des.secret | des.nonsecret) != des.state_count:
+    if des.nonsecret and len(des.secret | des.nonsecret) != des.state_count:
         raise ValueError("strong opacity requires every state to be secret or nonsecret")
     k = check_k(k)
     adj = _event_adj(des)
@@ -344,10 +345,14 @@ def random_des(params: GeneratorParams) -> Des:
     """Reproducible random DES; state 0 is initial."""
     if params.state_count <= 0:
         raise ValueError("state_count must be positive")
+    if params.observable_event_count < 0 or params.unobservable_event_count < 0:
+        raise ValueError("event counts must be nonnegative")
     if params.observable_event_count + params.unobservable_event_count <= 0:
         raise ValueError("at least one event is required")
     if not (0.0 <= params.secret_fraction <= 1.0):
         raise ValueError("secret_fraction must lie in [0, 1]")
+    if not params.transition_density >= 0.0:  # also rejects NaN
+        raise ValueError("transition_density must be a nonnegative number")
     if params.deterministic and params.transition_density > 1.0:
         raise ValueError("deterministic generation needs transition_density <= 1")
     rng = random.Random(params.rng_seed)

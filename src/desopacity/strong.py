@@ -11,8 +11,7 @@ coincides with strong k-step opacity of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from .automata import (
     Des,
@@ -28,19 +27,24 @@ from .weak import KBound, Verdict, verify_weak
 @dataclass(frozen=True)
 class NormalizationResult:
     des_n: Des
-    prime_map: dict  # original state -> index of its surviving secret copy
 
 
 @dataclass(frozen=True)
 class ReductionResult:
     des_prime: Des
-    fresh_event: str
-    copy_map: dict  # nonsecret original state -> index of its nonsecret copy
 
 
-def _require_no_neutral(des: Des) -> None:
+def _strong_input(des: Des) -> Des:
+    """The one strong-mode input rule: a deterministic system in which every
+    state is secret or nonsecret, an empty ``nonsecret`` read as the
+    complement of ``secret``."""
+    if not is_deterministic(des):
+        raise ValueError("strong opacity is defined for deterministic systems only")
+    if not des.nonsecret:
+        des = replace(des, nonsecret=frozenset(range(des.state_count)) - des.secret)
     if len(des.secret | des.nonsecret) != des.state_count:
         raise ValueError("strong opacity requires every state to be secret or nonsecret")
+    return des
 
 
 def is_normal(des: Des) -> bool:
@@ -73,9 +77,7 @@ def normalize(des: Des) -> NormalizationResult:
     transition between copies, (3) let copies rejoin the originals on
     observable events, (4) prune unreachable states.
     """
-    if not is_deterministic(des):
-        raise ValueError("normalization requires a deterministic input")
-    _require_no_neutral(des)
+    des = _strong_input(des)
     n = des.state_count
     unobs = set(des.events.unobservable_indices())
     delta = set()
@@ -100,15 +102,14 @@ def normalize(des: Des) -> NormalizationResult:
         state_names=names + primes,
     )
     # step (4): prune unreachable states
-    trimmed, old_to_new = accessible(doubled)
-    prime_map = {q: old_to_new[q + n] for q in range(n) if q + n in old_to_new}
+    trimmed = accessible(doubled)[0]
 
     assert is_deterministic(trimmed), "normalization must preserve determinism"
     reach = unobservable_reach(trimmed, trimmed.secret)
     assert not (reach - trimmed.secret), (
         "normalized system has a nonsecret state in the unobservable reach of a secret state"
     )
-    return NormalizationResult(trimmed, prime_map)
+    return NormalizationResult(trimmed)
 
 
 def _fresh_event_name(events: EventTable) -> str:
@@ -128,16 +129,13 @@ def strong_to_weak(des: Des) -> ReductionResult:
     nonsecret, so a weak violation means some run cannot hide its visit to a
     secret state during the last k observable steps.
     """
-    if not is_deterministic(des):
-        raise ValueError("the strong-to-weak transformation requires a deterministic input")
-    _require_no_neutral(des)
+    des = _strong_input(des)
     if not is_normal(des):
         raise ValueError("the strong-to-weak transformation requires a normal input")
     n = des.state_count
     ns_sorted = sorted(des.nonsecret)
     copy_map = {q: n + i for i, q in enumerate(ns_sorted)}
-    fresh = _fresh_event_name(des.events)
-    events = EventTable(des.events.entries + (Event(fresh, False),))
+    events = EventTable(des.events.entries + (Event(_fresh_event_name(des.events), False),))
     fresh_index = len(des.events)
     delta = set(des.transitions)
     for (p, e, q) in des.transitions:
@@ -156,21 +154,16 @@ def strong_to_weak(des: Des) -> ReductionResult:
         nonsecret=frozenset(copy_map.values()),
         state_names=state_names,
     )
-    return ReductionResult(des_prime, fresh, copy_map)
+    return ReductionResult(des_prime)
 
 
 def reduce_to_weak(des: Des) -> tuple:
     """Normalization (skipped for already-normal inputs) followed by the
     strong-to-weak transformation.  Returns (normalization or None, reduction)."""
-    if not is_deterministic(des):
-        raise ValueError("strong opacity is defined for deterministic systems only")
-    _require_no_neutral(des)
-    norm: Optional[NormalizationResult] = None
-    base = des
-    if not is_normal(des):
-        norm = normalize(des)
-        base = norm.des_n
-    return norm, strong_to_weak(base)
+    if is_normal(des):
+        return None, strong_to_weak(des)
+    norm = normalize(des)
+    return norm, strong_to_weak(norm.des_n)
 
 
 def verify_strong(des: Des, k: KBound) -> Verdict:

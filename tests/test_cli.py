@@ -4,9 +4,25 @@ from importlib import resources
 
 import pytest
 
-from desopacity import cli, load_fixture, parse_des, serialize_des
+from desopacity import (
+    INFINITE,
+    OracleBounds,
+    cli,
+    load_fixture,
+    normalize,
+    parse_des,
+    reduce_to_weak,
+    serialize_des,
+    strong_to_weak,
+    strong_violation_search,
+    verify_strong,
+)
 from desopacity.cli import build_parser, run
 from desopacity.desfile import DesFormatError
+
+from conftest import random_det_instance
+
+FIXTURES = ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")
 
 
 def fixture_path(name):
@@ -27,7 +43,7 @@ def test_parse_fig5():
 
 
 def test_roundtrip_stable():
-    for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10"):
+    for name in FIXTURES:
         des = load_fixture(name)
         again = parse_des(serialize_des(des))
         assert again == des
@@ -219,6 +235,11 @@ def test_cli_random_and_bench(tmp_path):
     assert explored[1] == explored[2]
 
 
+def random_argv(output, density="0.8", obs_events="2", unobs_events="1"):
+    return ["random", "--states", "5", "--obs-events", obs_events, "--unobs-events", unobs_events,
+            "--density", density, "--secret-frac", "0.3", "--seed", "7", "--output", str(output)]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.des"
     bad.write_text("{not json")
@@ -242,6 +263,11 @@ def test_cli_error_paths(tmp_path, capsys):
         ["normalize", "--input", fixture_path("fig2"), "--output", str(tmp_path / "x.des")],
         ["normalize", "--input", fixture_path("fig6"), "--output", str(plain / "x.des")],
         ["verify-weak", "--input", fig1, "--k", "1", "--dot", str(plain)],
+        ["verify-weak", "--input", fig1, "--k", "-1"],
+        ["bench", "--input", fig1, "--k-list", "1,-1"],
+        # generator values that would silently give a degenerate system
+        random_argv(tmp_path / "r.des", density="nan"),
+        random_argv(tmp_path / "r.des", obs_events="-1", unobs_events="2"),
     ]
     for argv in cases:
         code, out = invoke(argv)
@@ -249,6 +275,7 @@ def test_cli_error_paths(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
         assert "Traceback" not in err, argv
+    assert not (tmp_path / "r.des").exists()
 
 
 def test_cli_main_exits_with_run_code(monkeypatch):
@@ -279,3 +306,55 @@ def test_cli_builds_parser_once(monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(calls) == 1
+
+
+def _expected(compute, render):
+    """What the CLI should report: the library's result rendered, or exit 2
+    with no output where the library rejects the input."""
+    try:
+        result = compute()
+    except ValueError:
+        return 2, ""
+    return render(result)
+
+
+def _strong_output(des, verdict):
+    lines = ["OPAQUE" if verdict.opaque else "NOT_OPAQUE"]
+    if not verdict.opaque:
+        w = verdict.witness
+        prime = reduce_to_weak(des)[1].des_prime  # the CLI names witness states in G'
+        lines += [f"mu={''.join(w.mu)}", f"secret={prime.state_name(w.secret_state)}", f"nu={''.join(w.nu)}"]
+    return int(not verdict.opaque), "\n".join(lines) + "\n"
+
+
+def _oracle_output(s):
+    return (0, "OPAQUE\n") if s is None else (1, f"NOT_OPAQUE\ns={''.join(s)}\n")
+
+
+def test_strong_library_matches_cli_without_nonsecret(tmp_path):
+    # The strong-mode commands and the library functions apply one input rule:
+    # a file without "nonsecret" reads as the complement of its secret states.
+    docs = [json.loads(serialize_des(load_fixture(name))) for name in FIXTURES]
+    docs += [json.loads(serialize_des(random_det_instance(seed, n=5, unobs=2))) for seed in range(60)]
+    bounds = OracleBounds(mu_max=8, nu_max=0)
+    written = 0
+    for i, doc in enumerate(docs):
+        del doc["nonsecret"]
+        path = tmp_path / f"in{i}.des"
+        path.write_text(json.dumps(doc))
+        des = parse_des(path.read_text())
+        for k in (0, 1, INFINITE):
+            argv = ["verify-strong", "--input", str(path), "--k", str(k), "--witness"]
+            assert invoke(argv) == _expected(lambda: verify_strong(des, k), lambda v: _strong_output(des, v)), argv
+            argv = ["oracle", "strong", "--input", str(path), "--k", str(k), "--mu-max", "8", "--nu-max", "0"]
+            assert invoke(argv) == _expected(lambda: strong_violation_search(des, k, bounds), _oracle_output), argv
+        for command, compute in (
+            ("normalize", lambda: normalize(des).des_n),
+            ("transform", lambda: strong_to_weak(des).des_prime),
+        ):
+            out_file = tmp_path / f"{command}{i}.des"
+            code, out = invoke([command, "--input", str(path), "--output", str(out_file)])
+            got = (code, out) + ((out_file.read_text(),) if out_file.exists() else ())
+            assert got == _expected(compute, lambda d: (0, "", serialize_des(d))), (command, i)
+            written += code == 0
+    assert written >= 50

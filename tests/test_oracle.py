@@ -155,6 +155,14 @@ def test_random_des_counts_and_validation():
         random_des(dataclasses.replace(params, deterministic=True, transition_density=1.5))
     with pytest.raises(ValueError):
         random_des(dataclasses.replace(params, state_count=0))
+    for bad in (
+        {"transition_density": float("nan")},
+        {"transition_density": -0.5},
+        {"observable_event_count": -1},  # with 2 unobservable events the total stays positive
+        {"unobservable_event_count": -1},
+    ):
+        with pytest.raises(ValueError):
+            random_des(dataclasses.replace(params, **bad))
 
 
 def test_oracle_bounds_validation():

@@ -32,6 +32,12 @@ def _named_transitions(des):
     return {(des.state_name(p), des.events[e].name, des.state_name(q)) for (p, e, q) in des.transitions}
 
 
+def _added_event(des, prime):
+    """The one event that the transformation adds to the input's alphabet."""
+    (name,) = set(prime.events.names) - set(des.events.names)
+    return name
+
+
 def test_is_normal():
     assert not is_normal(load_fixture("fig5"))  # secret "2" -u-> nonsecret "3"
     assert not is_normal(load_fixture("fig6"))
@@ -62,7 +68,7 @@ def test_normalize_fixed_point_on_normal_input():
     result = normalize(des)
     assert result.des_n.state_count == des.state_count
     assert result.des_n.transitions == des.transitions
-    assert result.prime_map == {}
+    assert result.des_n.state_names == des.state_names  # no primed copy survives
 
 
 def test_normalize_rejects_bad_inputs():
@@ -80,7 +86,6 @@ def test_normalize_language_preserved():
         if is_normal(des):
             continue
         result = normalize(des)
-        renamed = dataclasses.replace(des, state_names=tuple(str(q) for q in range(des.state_count)))
         assert language_equivalent(des, result.des_n)
         checked += 1
     assert checked >= 50
@@ -138,16 +143,15 @@ def test_strong_to_weak_fig8():
     assert prime.state_count == 8 + 6
     assert {prime.state_name(q) for q in prime.secret} == {"1", "2", "3", "4", "5", "6", "7", "8"}
     assert {prime.state_name(q) for q in prime.nonsecret} == {"1'", "2'", "3'", "5'", "7'", "8'"}
-    assert not prime.events[prime.events.index(result.fresh_event)].observable
+    assert not prime.events[prime.events.index(_added_event(des, prime))].observable
 
 
 def test_strong_to_weak_fresh_event_avoids_collision():
     des = load_fixture("fig8")  # already uses "u1"
-    result = strong_to_weak(des)
-    assert result.fresh_event == "u"
+    assert _added_event(des, strong_to_weak(des).des_prime) == "u"
     renamed_events = make_events(["a", "b", "c"], ["u"])
     clash = dataclasses.replace(des, events=renamed_events)
-    assert strong_to_weak(clash).fresh_event == "u1"
+    assert _added_event(clash, strong_to_weak(clash).des_prime) == "u1"
 
 
 def test_strong_to_weak_single_fresh_occurrence():
@@ -156,8 +160,8 @@ def test_strong_to_weak_single_fresh_occurrence():
         base = des if is_normal(des) else normalize(des).des_n
         result = strong_to_weak(base)
         prime = result.des_prime
-        u = prime.events.index(result.fresh_event)
-        copies = set(result.copy_map.values())
+        u = prime.events.index(_added_event(base, prime))
+        copies = prime.nonsecret
         for (p, e, q) in prime.transitions:
             if e == u:
                 assert p not in copies and q in copies
@@ -171,7 +175,7 @@ def test_strong_to_weak_normalized_fig5():
     prime = result.des_prime
     assert {prime.state_name(q) for q in prime.nonsecret} == {"1'", "4'"}
     trans = _named_transitions(prime)
-    u = result.fresh_event  # "u" is taken by the input alphabet
+    u = _added_event(base, prime)  # "u" is taken by the input alphabet
     assert ("1", u, "1'") in trans
     assert ("4", u, "4'") in trans
     assert ("1'", "a", "2") not in trans  # secret targets are not copied
