@@ -6,7 +6,6 @@ from .automata import (
     Des,
     Event,
     EventTable,
-    ObserverAutomaton,
     Projection,
     accessible,
     is_deterministic,
@@ -29,7 +28,6 @@ from .oracle import (
     weak_violation_search,
 )
 from .strong import (
-    NormalizationResult,
     ReductionResult,
     is_normal,
     normalize,

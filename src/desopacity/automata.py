@@ -4,19 +4,26 @@ A DES is a nondeterministic finite automaton whose alphabet is split into
 observable and unobservable events, together with disjoint sets of secret
 and nonsecret states.  This module provides the constructions that the
 opacity verifiers are built from: unobservable reach, projection onto the
-observable alphabet, the subset-construction observer, and the successors
-of the product of the projection with its full observer.
+observable alphabet, the level-bounded search, the subset-construction
+observer, and the successors of the product of the projection with its
+full observer.
 
 Sets of states inside these constructions are int bitmasks: bit q is set
 iff state q is in the set, and the empty set is 0.  ``project`` computes
 one step kernel per system, and the observer, the seeds and the product
-all step through it.
+all step through it.  The observer and the product are both searched by
+``bounded_bfs``, and ``path_to`` reads a path off either search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
+
+# k is a nonnegative int or INFINITE.
+KBound = Union[int, float]
+INFINITE: KBound = math.inf
 
 
 @dataclass(frozen=True)
@@ -205,55 +212,83 @@ def project(des: Des) -> Projection:
     )
 
 
-@dataclass(frozen=True)
-class ObserverAutomaton:
-    """Accessible part of the determinized projected automaton.
+def check_k(k: KBound) -> KBound:
+    if k is INFINITE or k == math.inf:
+        return INFINITE
+    if isinstance(k, int) and k >= 0:
+        return k
+    raise ValueError("k must be a nonnegative integer or INFINITE")
 
-    ``states[i]`` is the current-state estimate (a mask) after some
-    observation; ``delta[i][j]`` is the successor state index on the j-th
-    observable event, or None for the empty estimate, which is never
-    stored.  States are listed in breadth-first discovery order, so
-    ``states[0]`` is the initial estimate, and ``parents[i]`` is the
-    (state index, event) pair that discovered state i (None for state 0).
+
+def bounded_bfs(successors: Callable, seeds: Iterable, k: KBound, stop: Optional[Callable] = None):
+    """Mark all vertices within distance k of the seeds.
+
+    ``successors(v)`` yields (label, vertex) pairs.  Returns (marked, depth)
+    where ``marked`` maps each vertex to its parent link (parent vertex,
+    label) or None for seeds, in discovery order, and ``depth`` is the last
+    level that had vertices.  If ``stop(v)`` holds for a discovered vertex,
+    the search ends there: that vertex is the last key of ``marked``, and
+    ``marked`` is the full search's discovery order up to it.
+
+    The search keeps one level number and two vertex lists, the frontier
+    and the next level, instead of a per-vertex distance, so its memory
+    does not grow with k.
     """
+    k = check_k(k)
+    marked = {}
+    frontier = []
+    for s in seeds:
+        if s not in marked:
+            marked[s] = None
+            if stop is not None and stop(s):
+                return marked, 0
+            frontier.append(s)
+    level = 0
+    while frontier and level < k:
+        following = []
+        for u in frontier:
+            for label, v in successors(u):
+                if v not in marked:
+                    marked[v] = (u, label)
+                    if stop is not None and stop(v):
+                        return marked, level + 1
+                    following.append(v)
+        if not following:
+            break
+        frontier = following
+        level += 1
+    return marked, level
 
-    event_names: tuple
-    states: tuple
-    delta: tuple
-    parents: tuple
 
-    def observation(self, i: int) -> tuple:
-        """A shortest observation reaching state i, ties broken by event-table order."""
-        mu = []
-        while self.parents[i] is not None:
-            i, j = self.parents[i]
-            mu.append(self.event_names[j])
-        mu.reverse()
-        return tuple(mu)
+def path_to(marked: dict, v) -> tuple:
+    """(root, labels): the seed that ``v``'s parent chain in ``marked`` starts
+    from, and the labels along the chain from that seed to ``v``."""
+    labels = []
+    while marked[v] is not None:
+        v, label = marked[v]
+        labels.append(label)
+    labels.reverse()
+    return v, tuple(labels)
 
 
-def observer(pg: Projection) -> ObserverAutomaton:
-    """Subset construction over the projection's rows, reachable part only."""
+def observer(pg: Projection) -> dict:
+    """Subset construction over the projection's rows, reachable part only.
+
+    Maps each nonempty estimate (a mask) to its BFS parent link (parent
+    estimate, event index), or None for the initial estimate, in discovery
+    order.  So the initial estimate comes first, and ``path_to`` gives a
+    shortest observation reaching an estimate, ties broken by event-table
+    order.  The empty estimate is never stored.
+    """
     events = tuple(enumerate(pg.rows))
-    states = [pg.initial]
-    parents = [None]
-    index = {pg.initial: 0}
-    delta = []
-    for i, x in enumerate(states):  # states grows behind the cursor: a FIFO queue
-        successors = []
+
+    def successors(x):
         for j, row in events:
             y = union_rows(row, x)
-            if not y:
-                successors.append(None)
-                continue
-            t = index.get(y)
-            if t is None:
-                t = index[y] = len(states)
-                states.append(y)
-                parents.append((i, j))
-            successors.append(t)
-        delta.append(tuple(successors))
-    return ObserverAutomaton(pg.event_names, tuple(states), tuple(delta), tuple(parents))
+            if y:
+                yield j, y
+
+    return bounded_bfs(successors, (pg.initial,), INFINITE)[0]
 
 
 def product_successors(pg: Projection) -> Callable:
@@ -280,12 +315,9 @@ def product_successors(pg: Projection) -> Callable:
     return successors
 
 
-def accessible(des: Des) -> tuple:
-    """Restriction to states reachable from the initial set, densely reindexed.
-
-    Returns (restricted system, map from kept old index to new index); the
-    relative order of the kept states is preserved.
-    """
+def accessible(des: Des) -> Des:
+    """Restriction to states reachable from the initial set, densely
+    reindexed; the relative order of the kept states is preserved."""
     succ = [0] * des.state_count
     for (p, _e, q) in des.transitions:
         succ[p] |= 1 << q
@@ -294,7 +326,7 @@ def accessible(des: Des) -> tuple:
     names = None
     if des.state_names is not None:
         names = tuple(des.state_names[q] for q in kept)
-    restricted = Des(
+    return Des(
         state_count=len(kept),
         events=des.events,
         transitions=frozenset(
@@ -307,7 +339,6 @@ def accessible(des: Des) -> tuple:
         nonsecret=frozenset(remap[q] for q in des.nonsecret if q in remap),
         state_names=names,
     )
-    return restricted, remap
 
 
 def is_deterministic(des: Des) -> bool:

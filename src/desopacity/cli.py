@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .automata import Des, observer, project
+from .automata import Des
 from .desfile import parse_des, serialize_des
 from .dot import des_to_dot, observer_to_dot
 from .oracle import (
@@ -69,7 +69,7 @@ def _cmd_verify_weak(args, out) -> int:
         directory = Path(args.dot)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "des.dot").write_text(des_to_dot(des))
-        (directory / "observer.dot").write_text(observer_to_dot(observer(project(des)), des))
+        (directory / "observer.dot").write_text(observer_to_dot(des))
     return _emit_verdict(verdict, des, args, out)
 
 
@@ -80,7 +80,7 @@ def _cmd_verify_strong(args, out) -> int:
 
 
 def _cmd_normalize(args, out) -> int:
-    Path(args.output).write_text(serialize_des(normalize(_load(args.input)).des_n))
+    Path(args.output).write_text(serialize_des(normalize(_load(args.input))))
     return 0
 
 
@@ -90,8 +90,7 @@ def _cmd_transform(args, out) -> int:
 
 
 def _cmd_observer(args, out) -> int:
-    des = _load(args.input)
-    Path(args.dot).write_text(observer_to_dot(observer(project(des)), des))
+    Path(args.dot).write_text(observer_to_dot(_load(args.input)))
     return 0
 
 

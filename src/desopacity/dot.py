@@ -6,7 +6,7 @@ drawn; secret states are double-circled.
 
 from __future__ import annotations
 
-from .automata import Des, ObserverAutomaton, states_of
+from .automata import Des, observer, project, states_of, union_rows
 
 
 def _quote(s: str) -> str:
@@ -28,18 +28,23 @@ def des_to_dot(des: Des) -> str:
     return "\n".join(lines) + "\n"
 
 
-def observer_to_dot(obs: ObserverAutomaton, des: Des) -> str:
+def observer_to_dot(des: Des) -> str:
+    """The observer of ``des``: states numbered in discovery order, edges
+    stepped through the projection kernel."""
+    pg = project(des)
+    index = {x: i for i, x in enumerate(observer(pg))}
+
     def estimate_label(x):
         return "{" + ",".join(des.state_name(q) for q in states_of(x)) + "}"
 
     lines = ['digraph "observer" {', "  rankdir=LR;", '  __init [shape=point, label=""];']
-    for i, x in enumerate(obs.states):
+    for x, i in index.items():
         lines.append(f"  s{i} [shape=circle, label={_quote(estimate_label(x))}];")
     lines.append("  __init -> s0;")
-    for i, row in enumerate(obs.delta):
-        for j, t in enumerate(row):
-            if t is None:
-                continue  # transitions into the empty-estimate sink are omitted
-            lines.append(f"  s{i} -> s{t} [label={_quote(obs.event_names[j])}];")
+    for x, i in index.items():
+        for name, row in zip(pg.event_names, pg.rows):
+            y = union_rows(row, x)
+            if y:  # transitions into the empty-estimate sink are omitted
+                lines.append(f"  s{i} -> s{index[y]} [label={_quote(name)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -25,11 +25,6 @@ from .weak import KBound, Verdict, verify_weak
 
 
 @dataclass(frozen=True)
-class NormalizationResult:
-    des_n: Des
-
-
-@dataclass(frozen=True)
 class ReductionResult:
     des_prime: Des
 
@@ -69,7 +64,7 @@ def _prime_names(des: Des) -> tuple:
     return tuple(names), tuple(primes)
 
 
-def normalize(des: Des) -> NormalizationResult:
+def normalize(des: Des) -> Des:
     """Redirect unobservable secret-to-nonsecret transitions into a secret copy.
 
     The copy of state q is q + n before pruning.  Steps: (1) redirect the
@@ -102,14 +97,14 @@ def normalize(des: Des) -> NormalizationResult:
         state_names=names + primes,
     )
     # step (4): prune unreachable states
-    trimmed = accessible(doubled)[0]
+    trimmed = accessible(doubled)
 
     assert is_deterministic(trimmed), "normalization must preserve determinism"
     reach = unobservable_reach(trimmed, trimmed.secret)
     assert not (reach - trimmed.secret), (
         "normalized system has a nonsecret state in the unobservable reach of a secret state"
     )
-    return NormalizationResult(trimmed)
+    return trimmed
 
 
 def _fresh_event_name(events: EventTable) -> str:
@@ -159,11 +154,12 @@ def strong_to_weak(des: Des) -> ReductionResult:
 
 def reduce_to_weak(des: Des) -> tuple:
     """Normalization (skipped for already-normal inputs) followed by the
-    strong-to-weak transformation.  Returns (normalization or None, reduction)."""
+    strong-to-weak transformation.  Returns (normalized system or None,
+    reduction)."""
     if is_normal(des):
         return None, strong_to_weak(des)
-    norm = normalize(des)
-    return norm, strong_to_weak(norm.des_n)
+    des_n = normalize(des)
+    return des_n, strong_to_weak(des_n)
 
 
 def verify_strong(des: Des, k: KBound) -> Verdict:

@@ -60,8 +60,7 @@ def test_criterion_1_example_verdicts():
 
 def test_criterion_2_normalization_golden():
     with report("2 normalization golden"):
-        result = normalize(load_fixture("fig6"))
-        des_n = result.des_n
+        des_n = normalize(load_fixture("fig6"))
         names = set(des_n.state_names)
         assert names == {"1", "2", "3", "4", "5", "4'", "5'"}
         trans = {
@@ -108,15 +107,14 @@ def test_criterion_4_construction_properties():
         for seed in range(200):
             n = 4 + seed % 5  # n in 4..8
             des = random_det_instance(seed, n=n, obs=2, unobs=2, density=0.7)
-            result = normalize(des)
-            des_n = result.des_n
+            des_n = normalize(des)
             assert language_equivalent(des, des_n)
-            assert len(observer(project(des_n)).states) <= 2 ** des.state_count
+            assert len(observer(project(des_n))) <= 2 ** des.state_count
             assert is_deterministic(des_n)
             assert not (unobservable_reach(des_n, des_n.secret) - des_n.secret)
             if is_normal(des):
                 prime = strong_to_weak(des).des_prime
-                assert len(observer(project(prime)).states) == len(observer(project(des)).states)
+                assert len(observer(project(prime))) == len(observer(project(des)))
             checked += 1
         assert checked >= 200
 

@@ -15,7 +15,7 @@ from desopacity import (
     states_of,
     unobservable_reach,
 )
-from desopacity.automata import union_rows
+from desopacity.automata import path_to, union_rows
 from desopacity.oracle import language_equivalent, simulate_observation
 
 from conftest import random_det_instance, random_weak_instance
@@ -97,13 +97,13 @@ def test_project_definitional_identity():
 def test_observer_chain():
     des = load_fixture("fig5")
     obs = observer(project(des))
-    assert obs.states == (mask_of({0}), mask_of({1, 2}), mask_of({3}))
+    assert tuple(obs) == (mask_of({0}), mask_of({1, 2}), mask_of({3}))
 
 
 def test_observer_contains_expected_estimate():
     des = load_fixture("fig2")
     obs = observer(project(des))
-    assert mask_of({1, 3, 4}) in obs.states  # states named "2","4","5"
+    assert mask_of({1, 3, 4}) in obs  # states named "2","4","5"
 
 
 def test_observer_deterministic_all_observable():
@@ -113,37 +113,34 @@ def test_observer_deterministic_all_observable():
         transitions=frozenset({(0, 0, 1), (1, 1, 2)}),
         initial=frozenset({0}),
     )
-    assert [states_of(x) for x in observer(project(det_all_obs)).states] == [(0,), (1,), (2,)]
+    assert [states_of(x) for x in observer(project(det_all_obs))] == [(0,), (1,), (2,)]
 
 
 def test_observer_matches_direct_simulation():
     rng = random.Random(7)
     for seed in range(25):
         des = random_weak_instance(seed, n=5)
-        obs = observer(project(des))
-        names = list(obs.event_names)
-        for i, x in enumerate(obs.states):
-            assert x == mask_of(simulate_observation(des, des.initial, obs.observation(i)))
+        pg = project(des)
+        obs = observer(pg)
+        names = list(pg.event_names)
+        for x in obs:
+            mu = [names[j] for j in path_to(obs, x)[1]]
+            assert x == mask_of(simulate_observation(des, des.initial, mu))
         if not names:
             continue
         for _ in range(10):
             mu = [rng.choice(names) for _ in range(rng.randrange(9))]
-            i = 0
+            x = pg.initial
             for name in mu:
-                if i is None:
-                    break
-                i = obs.delta[i][names.index(name)]
-            expected = simulate_observation(des, des.initial, mu)
-            if i is None:
-                assert expected == frozenset()
-            else:
-                assert obs.states[i] == mask_of(expected)
+                x = union_rows(pg.rows[names.index(name)], x)
+                assert x == 0 or x in obs
+            assert x == mask_of(simulate_observation(des, des.initial, mu))
 
 
 def test_observer_state_bound():
     for seed in range(30):
         des = random_weak_instance(seed, n=5)
-        assert len(observer(project(des)).states) <= 2 ** des.state_count - 1
+        assert len(observer(project(des))) <= 2 ** des.state_count - 1
 
 
 def test_observer_empty_observable_alphabet():
@@ -153,9 +150,10 @@ def test_observer_empty_observable_alphabet():
         transitions=frozenset({(0, 0, 1)}),
         initial=frozenset({0}),
     )
-    obs = observer(project(des))
-    assert obs.states == (mask_of({0, 1}),)
-    assert obs.delta == ((),)
+    pg = project(des)
+    obs = observer(pg)
+    assert tuple(obs) == (mask_of({0, 1}),)
+    assert pg.rows == ()  # no event to step on
 
 
 def test_full_observer_step_sink():
@@ -177,15 +175,13 @@ def test_full_observer_agrees_with_observer():
     # estimate, against direct simulation of the original system
     for seed in range(20):
         des = random_weak_instance(seed, n=4)
-        obs = observer(project(des))
-        for i, x in enumerate(obs.states):
-            for j, name in enumerate(obs.event_names):
-                t = obs.delta[i][j]
-                stepped = simulate_observation(des, states_of(x), [name])
-                if t is None:
-                    assert stepped == frozenset()
-                else:
-                    assert mask_of(stepped) == obs.states[t]
+        pg = project(des)
+        obs = observer(pg)
+        for x in obs:
+            for j, name in enumerate(pg.event_names):
+                y = union_rows(pg.rows[j], x)
+                assert y == 0 or y in obs
+                assert y == mask_of(simulate_observation(des, states_of(x), [name]))
 
 
 def test_full_observer_step_rejects_unobservable():
@@ -230,17 +226,17 @@ def test_accessible_drops_isolated_state():
         secret=frozenset({2}),
         state_names=("p", "q", "iso"),
     )
-    acc, remap = accessible(des)
+    acc = accessible(des)
     assert acc.state_count == 2
-    assert acc.state_names == ("p", "q")
+    assert acc.state_names == ("p", "q")  # "p" and "q" keep indices 0 and 1
     assert acc.secret == frozenset()
-    assert remap == {0: 0, 1: 1}
+    assert acc.transitions == frozenset({(0, 0, 1)})
 
 
 def test_accessible_identity_when_reachable():
     des = load_fixture("fig5")
-    acc, remap = accessible(des)
-    assert remap == {q: q for q in range(des.state_count)}
+    acc = accessible(des)
+    assert acc.state_names == des.state_names  # every state keeps its index
     assert acc.state_count == des.state_count
     assert acc.transitions == des.transitions
 

@@ -45,19 +45,18 @@ def test_is_normal():
 
 
 def test_normalize_fig6_golden():
-    result = normalize(load_fixture("fig6"))
-    names = set(result.des_n.state_names)
+    des_n = normalize(load_fixture("fig6"))
+    names = set(des_n.state_names)
     assert names == {"1", "2", "3", "4", "5", "4'", "5'"}  # primes 1',2',3' pruned
-    trans = _named_transitions(result.des_n)
+    trans = _named_transitions(des_n)
     for t in [("2", "u", "4'"), ("3", "u", "4'"), ("4'", "u", "5'"), ("4'", "a", "5"), ("5'", "b", "5")]:
         assert t in trans
-    secret_names = {result.des_n.state_name(q) for q in result.des_n.secret}
+    secret_names = {des_n.state_name(q) for q in des_n.secret}
     assert secret_names == {"2", "3", "4'", "5'"}
 
 
 def test_normalize_fig5():
-    result = normalize(load_fixture("fig5"))
-    des_n = result.des_n
+    des_n = normalize(load_fixture("fig5"))
     assert set(des_n.state_names) == {"1", "2", "3'", "4"}
     assert _named_transitions(des_n) == {("1", "a", "2"), ("2", "u", "3'"), ("3'", "a", "4")}
     assert {des_n.state_name(q) for q in des_n.secret} == {"2", "3'"}
@@ -65,10 +64,10 @@ def test_normalize_fig5():
 
 def test_normalize_fixed_point_on_normal_input():
     des = load_fixture("fig8")
-    result = normalize(des)
-    assert result.des_n.state_count == des.state_count
-    assert result.des_n.transitions == des.transitions
-    assert result.des_n.state_names == des.state_names  # no primed copy survives
+    des_n = normalize(des)
+    assert des_n.state_count == des.state_count
+    assert des_n.transitions == des.transitions
+    assert des_n.state_names == des.state_names  # no primed copy survives
 
 
 def test_normalize_rejects_bad_inputs():
@@ -85,8 +84,7 @@ def test_normalize_language_preserved():
         des = random_det_instance(seed, n=8, obs=2, unobs=2, density=0.7)
         if is_normal(des):
             continue
-        result = normalize(des)
-        assert language_equivalent(des, result.des_n)
+        assert language_equivalent(des, normalize(des))
         checked += 1
     assert checked >= 50
 
@@ -98,8 +96,7 @@ def test_normalize_run_agreement_up_to_priming():
         des = random_det_instance(seed, n=5, obs=2, unobs=2, density=0.7)
         if is_normal(des):
             continue
-        result = normalize(des)
-        des_n = result.des_n
+        des_n = normalize(des)
         adj = _successor(des)
         adj_n = _successor(des_n)
         # unreachable originals are pruned too, so recover indices from names
@@ -129,11 +126,10 @@ def test_normalize_run_agreement_up_to_priming():
 def test_normalize_structural_guarantees():
     for seed in range(100):
         des = random_det_instance(seed, n=6, obs=2, unobs=2, density=0.8)
-        result = normalize(des)
-        des_n = result.des_n
+        des_n = normalize(des)
         assert is_deterministic(des_n)
         assert not (unobservable_reach(des_n, des_n.secret) - des_n.secret)
-        assert len(observer(project(des_n)).states) <= 2 ** des.state_count
+        assert len(observer(project(des_n))) <= 2 ** des.state_count
 
 
 def test_strong_to_weak_fig8():
@@ -157,7 +153,7 @@ def test_strong_to_weak_fresh_event_avoids_collision():
 def test_strong_to_weak_single_fresh_occurrence():
     for seed in range(40):
         des = random_det_instance(seed, n=5, density=0.7)
-        base = des if is_normal(des) else normalize(des).des_n
+        base = des if is_normal(des) else normalize(des)
         result = strong_to_weak(base)
         prime = result.des_prime
         u = prime.events.index(_added_event(base, prime))
@@ -170,7 +166,7 @@ def test_strong_to_weak_single_fresh_occurrence():
 
 
 def test_strong_to_weak_normalized_fig5():
-    base = normalize(load_fixture("fig5")).des_n
+    base = normalize(load_fixture("fig5"))
     result = strong_to_weak(base)
     prime = result.des_prime
     assert {prime.state_name(q) for q in prime.nonsecret} == {"1'", "4'"}
@@ -219,7 +215,7 @@ def test_observer_counts_preserved_for_normal_inputs():
         if not is_normal(des):
             continue
         result = strong_to_weak(des)
-        assert len(observer(project(result.des_prime)).states) == len(observer(project(des)).states)
+        assert len(observer(project(result.des_prime))) == len(observer(project(des)))
         checked += 1
     assert checked >= 50
 

@@ -17,6 +17,7 @@ from desopacity import (
     states_of,
     verify_weak,
 )
+from desopacity.automata import path_to
 from desopacity.oracle import current_state_opaque, simulate_observation, validate_weak_witness
 from desopacity.weak import Verdict, VerifyStats, check_k
 
@@ -26,6 +27,12 @@ from conftest import random_weak_instance
 def _seeds(des):
     obs = observer(project(des))
     return obs, compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret))
+
+
+def _observation(des, obs, x):
+    """The observation the observer map records for estimate x, as event names."""
+    names = project(des).event_names
+    return tuple(names[j] for j in path_to(obs, x)[1])
 
 
 def test_check_k():
@@ -41,17 +48,18 @@ def test_compute_seeds_fig1():
     des = load_fixture("fig1")
     obs, seeds = _seeds(des)
     assert list(seeds) == [(1, mask_of({3}))]  # (state "2", {"4"})
-    assert obs.observation(seeds[(1, mask_of({3}))]) == ("a",)
+    assert _observation(des, obs, seeds[(1, mask_of({3}))]) == ("a",)
 
 
 def test_compute_seeds_fig2():
     des = load_fixture("fig2")
     obs, seeds = _seeds(des)
     assert len(seeds) == 1
-    (q, z), i = next(iter(seeds.items()))
+    (q, z), x = next(iter(seeds.items()))
     assert q == 1
     assert z == mask_of({3})
-    assert obs.states[i] == mask_of({1, 3, 4})  # estimate {"2","4","5"}
+    assert x == mask_of({1, 3, 4})  # estimate {"2","4","5"}
+    assert x in obs
 
 
 def test_compute_seeds_no_secret():
@@ -66,10 +74,10 @@ def test_shortest_observations_event_order_tiebreak():
     for seed in range(20):
         des = random_weak_instance(seed, n=5)
         obs = observer(project(des))
-        names = obs.event_names
+        names = project(des).event_names
         first = {}
         level = [()]
-        for _ in range(len(obs.states)):
+        for _ in range(len(obs)):
             following = []
             for mu in level:
                 x = mask_of(simulate_observation(des, des.initial, mu))
@@ -77,7 +85,7 @@ def test_shortest_observations_event_order_tiebreak():
                     first[x] = mu
                     following += [mu + (name,) for name in names]
             level = following
-        assert [obs.observation(i) for i in range(len(obs.states))] == [first[x] for x in obs.states]
+        assert [_observation(des, obs, x) for x in obs] == [first[x] for x in obs]
 
 
 def test_witness_tie_break_follows_event_table_order():
@@ -121,6 +129,8 @@ def test_bounded_bfs_k0():
     succ = lambda u: [("e", u + 1)] if u < 5 else []
     marked, _ = bounded_bfs(succ, [0, 3], 0)
     assert set(marked) == {0, 3}
+    with pytest.raises(ValueError):
+        bounded_bfs(succ, [0, 3], -1)
 
 
 def test_bounded_bfs_no_seeds():
@@ -139,6 +149,7 @@ def test_bounded_bfs_parent_links():
         path.append(label)
     assert cur == 0
     assert len(path) == 2
+    assert path_to(marked, 3) == (0, (("to", 1), ("to", 3)))
 
 
 def test_bounded_bfs_stops_at_first_stop_vertex():
