@@ -291,16 +291,38 @@ def observer(pg: Projection) -> dict:
     return bounded_bfs(successors, (pg.initial,), INFINITE)[0]
 
 
-def product_successors(pg: Projection) -> Callable:
-    """Successor function of the product of the projection with its full observer.
+def subsumed(masks, z: int) -> bool:
+    """Whether some mask in ``masks`` is a subset of ``z``."""
+    for y in masks:
+        if not y & ~z:
+            return True
+    return False
+
+
+def product_successors(pg: Projection, seeds: Iterable) -> Callable:
+    """Successor function of the product of the projection with its full
+    observer, pruned by subsumption for one search from ``seeds``.
 
     A vertex is (q, Z): a state and an estimate mask.  On event j it moves
-    to (q', union_rows(rows[j], Z)) for every q' in ``rows[j][q]``, as (j, vertex)
-    pairs in event order and then state order.  Z = 0 is the empty
+    to (q', union_rows(rows[j], Z)) for every q' in ``rows[j][q]``, as (j,
+    vertex) pairs in event order and then state order.  Z = 0 is the empty
     estimate and stays 0.  Each distinct Z is stepped once.
+
+    It keeps, per state q, the masks of the vertices admitted so far, the
+    seeds first, and yields only a vertex (q, Z') that no admitted (q, Z)
+    with Z ⊆ Z' subsumes, admitting it.  The step is monotone in Z, so a
+    violation within j steps of (q, Z') is matched within j steps of
+    (q, Z), which a breadth-first search admitted no later: the verdict
+    and the violation depth do not change at any k.  Being stateful, the
+    function serves one search.
     """
     targets = tuple(enumerate(tuple(states_of(mask) for mask in row) for row in pg.rows))
     stepped = {}
+    seen = set()  # vertices admitted or found subsumed
+    admitted = {}  # q -> masks of the admitted vertices with state q
+    for q, z in seeds:
+        seen.add((q, z))
+        admitted.setdefault(q, []).append(z)
 
     def successors(vertex):
         q, z = vertex
@@ -310,7 +332,14 @@ def product_successors(pg: Projection) -> Callable:
         for j, row in targets:
             z2 = z_next[j]
             for q2 in row[q]:
-                yield j, (q2, z2)
+                v = (q2, z2)
+                if v in seen:
+                    continue
+                seen.add(v)
+                masks = admitted.setdefault(q2, [])
+                if not subsumed(masks, z2):
+                    masks.append(z2)
+                    yield j, v
 
     return successors
 

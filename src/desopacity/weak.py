@@ -7,6 +7,13 @@ system is opaque iff no product state with an empty estimate is reachable
 from a seed within k observable steps.  The search stops at the first such
 state it discovers.  The witness's observation and continuation are read
 off the observer's and the product's search maps by one walk, ``path_to``.
+
+Both the seeds and the product search skip a pair (q, Z') once a pair
+(q, Z) with Z ⊆ Z' is kept.  The product step is monotone in the estimate,
+so any violation within j steps of (q, Z') is matched within j steps of
+(q, Z), and the breadth-first order keeps (q, Z) no later than (q, Z').
+So the verdict and the violation depth are those of the unpruned search
+at every k, and fewer product states are explored.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .automata import (  # noqa: F401
     product_successors,
     project,
     states_of,
+    subsumed,
 )
 
 
@@ -66,18 +74,29 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int) -> dict:
     """Product roots: (secret state q, nonsecret estimate Z) -> estimate X.
 
     One root per reachable estimate X (a key of the observer map ``obs``)
-    and secret state q in X, with Z = X & ``nonsecret`` (masks).  Roots
-    follow the observer's discovery order and the first occurrence of a
-    pair wins, so the estimate it maps to has a shortest observation, ties
-    broken by event-table order.
+    and secret state q in X, with Z = X & ``nonsecret`` (masks), unless an
+    earlier root (q, Y) has Y ⊆ Z.  Roots follow the observer's discovery
+    order, so the estimate a root maps to has a shortest observation, ties
+    broken by event-table order.  A root (q, Z) dropped for (q, Y) starts no
+    violation that (q, Y) does not match at the same depth, since the
+    product step is monotone in the estimate.  The roots end at the first
+    revealing one (q, 0), where the product search stops.
     """
     seeds = {}
+    admitted = {}  # q -> nonsecret masks of the roots with state q
     for x in obs:
         secrets = x & secret
         if secrets:
             z = x & nonsecret
             for q in states_of(secrets):
-                seeds.setdefault((q, z), x)
+                if (q, z) in seeds:
+                    continue
+                masks = admitted.setdefault(q, [])
+                if not subsumed(masks, z):
+                    masks.append(z)
+                    seeds[(q, z)] = x
+                    if not z:
+                        return seeds
     return seeds
 
 
@@ -96,7 +115,7 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
     pg = project(des)
     obs = observer(pg)
     roots = compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret))
-    marked, depth = bounded_bfs(product_successors(pg), roots, k, stop=_revealing)
+    marked, depth = bounded_bfs(product_successors(pg, roots), roots, k, stop=_revealing)
 
     n = des.state_count
     assert len(marked) <= n * 2 ** n, "product exploration exceeded the n*2^n bound"

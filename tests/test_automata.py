@@ -195,26 +195,30 @@ def test_full_observer_step_rejects_unobservable():
 def test_product_step_to_sink():
     pg = project(load_fixture("fig1"))
     b = pg.event_names.index("b")
-    successors = product_successors(pg)
-    assert [v for j, v in successors((1, mask_of({3}))) if j == b] == [(2, 0)]  # (2,{4}) on b
+    seed = (1, mask_of({3}))
+    assert [v for j, v in product_successors(pg, [seed])(seed) if j == b] == [(2, 0)]  # (2,{4}) on b
     # the empty estimate absorbs every event
-    assert all(z == 0 for _j, (_q, z) in successors((0, 0)))
+    assert all(z == 0 for _j, (_q, z) in product_successors(pg, [(0, 0)])((0, 0)))
 
 
 def test_product_step_empty():
     pg = project(load_fixture("fig1"))
     b = pg.event_names.index("b")
-    successors = product_successors(pg)
-    assert [v for j, v in successors((3, mask_of({0}))) if j == b] == []  # dead end
+    seed = (3, mask_of({0}))
+    assert [v for j, v in product_successors(pg, [seed])(seed) if j == b] == []  # dead end
 
 
 def test_product_step_requires_projected_input():
     # the product steps through the projection: unobservable moves are
     # folded into each observable step on both components
     des = load_fixture("fig5")  # "1" -a-> "2" -u-> "3"
-    successors = product_successors(project(des))
+    seed = (0, mask_of({0}))
     both = mask_of({1, 2})
-    assert list(successors((0, mask_of({0})))) == [(0, (1, both)), (0, (2, both))]
+    assert list(product_successors(project(des), [seed])(seed)) == [(0, (1, both)), (0, (2, both))]
+    # a successor subsumed by a vertex already admitted, here the seed
+    # ("2", {"2"}) with {"2"} a subset of {"2","3"}, is not yielded
+    successors = product_successors(project(des), [seed, (1, mask_of({1}))])
+    assert list(successors(seed)) == [(0, (2, both))]
 
 
 def test_accessible_drops_isolated_state():

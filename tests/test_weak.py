@@ -14,14 +14,15 @@ from desopacity import (
     mask_of,
     observer,
     project,
+    reduce_to_weak,
     states_of,
     verify_weak,
 )
-from desopacity.automata import path_to
+from desopacity.automata import path_to, union_rows
 from desopacity.oracle import current_state_opaque, simulate_observation, validate_weak_witness
 from desopacity.weak import Verdict, VerifyStats, check_k
 
-from conftest import random_weak_instance
+from conftest import random_det_instance, random_weak_instance
 
 
 def _seeds(des):
@@ -66,6 +67,47 @@ def test_compute_seeds_no_secret():
     des = load_fixture("fig5")
     obs = observer(project(des))
     assert compute_seeds(obs, 0, mask_of(des.nonsecret)) == {}
+
+
+def test_compute_seeds_drops_subsumed_seed():
+    # "1" -a-> {"2","3"} gives the seed ("2", {"3"}); then -b-> {"2","3","4"}
+    # gives ("2", {"3","4"}), which the earlier seed subsumes
+    des = Des(
+        state_count=4,
+        events=make_events(["a", "b"]),
+        transitions=frozenset({(0, 0, 1), (0, 0, 2), (1, 1, 1), (2, 1, 2), (2, 1, 3)}),
+        initial=frozenset({0}),
+        secret=frozenset({1}),
+        nonsecret=frozenset({0, 2, 3}),
+    )
+    obs, seeds = _seeds(des)
+    assert mask_of({1, 2, 3}) in obs
+    assert seeds == {(1, mask_of({2})): mask_of({1, 2})}
+
+
+def test_compute_seeds_stops_at_first_revealing_seed():
+    # "1" -a-> {"2"} reveals secret "2" at once; the estimate {"4","5"}
+    # behind "1" -b-> "3" -a-> would give the seed ("4", {"5"}) after it
+    des = Des(
+        state_count=5,
+        events=make_events(["a", "b"]),
+        transitions=frozenset({(0, 0, 1), (0, 1, 2), (2, 0, 3), (2, 0, 4)}),
+        initial=frozenset({0}),
+        secret=frozenset({1, 3}),
+        nonsecret=frozenset({0, 2, 4}),
+    )
+    obs = observer(project(des))
+    assert mask_of({3, 4}) in obs
+    consumed = []
+
+    def walk():
+        for x in obs:
+            consumed.append(x)
+            yield x
+
+    seeds = compute_seeds(walk(), mask_of(des.secret), mask_of(des.nonsecret))
+    assert seeds == {(1, 0): mask_of({1})}
+    assert consumed[-1] == mask_of({1}) and len(consumed) < len(obs)
 
 
 def test_shortest_observations_event_order_tiebreak():
@@ -258,6 +300,48 @@ def test_verify_weak_witnesses_validate_past_oracle_sizes():
                     sorted(simulate_observation(des, des.initial, v.witness.mu))
                 )
     assert violations >= 150 and through_product >= 25
+
+
+def _unpruned_search(des, k):
+    """Reference for the pruned verifier: the same roots, taken without
+    subsumption, and the plain product BFS over the kernel rows.
+    Returns (opaque, violation depth or None, product states explored)."""
+    pg = project(des)
+    obs = observer(pg)
+    roots = {}
+    for x in obs:
+        for q in states_of(x & mask_of(des.secret)):
+            roots.setdefault((q, x & mask_of(des.nonsecret)), x)
+
+    def successors(vertex):
+        q, z = vertex
+        for j, row in enumerate(pg.rows):
+            for q2 in states_of(row[q]):
+                yield j, (q2, union_rows(row, z))
+
+    marked, depth = bounded_bfs(successors, roots, k, stop=lambda v: not v[1])
+    last = next(reversed(marked), None)
+    if last is None or last[1]:
+        return True, None, len(marked)
+    return False, depth, len(marked)
+
+
+def test_verify_weak_pruning_matches_unpruned_search():
+    systems = [random_weak_instance(seed, n=4 + seed % 9) for seed in range(45)]  # n in 4..12
+    systems += [reduce_to_weak(random_det_instance(seed, n=6 + seed % 10))[1].des_prime for seed in range(30)]
+    pruned_fewer = violations = 0
+    for des in systems:
+        for k in (0, 1, 2, 1000, INFINITE):
+            opaque, depth, explored = _unpruned_search(des, k)
+            v = verify_weak(des, k)
+            assert v.opaque == opaque
+            assert v.stats.product_states_explored <= explored
+            pruned_fewer += v.stats.product_states_explored < explored
+            if not opaque:
+                violations += 1
+                assert v.stats.bfs_depth_reached == depth
+                assert validate_weak_witness(des, k, v.witness)
+    assert pruned_fewer > 0 and violations > 0
 
 
 def test_verify_weak_monotone_in_k():
