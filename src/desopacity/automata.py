@@ -34,18 +34,21 @@ class Event:
 
 @dataclass(frozen=True)
 class EventTable:
-    """Ordered alphabet with an observability flag per event."""
+    """Ordered alphabet with an observability flag per event: at least one
+    event, names nonempty and distinct."""
 
     entries: tuple
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("event table must contain at least one event")
-        names = [e.name for e in self.entries]
-        if any(not n for n in names):
-            raise ValueError("event names must be nonempty")
-        if len(set(names)) != len(names):
-            raise ValueError("event names must be unique")
+        seen = set()
+        for e in self.entries:
+            if not e.name:
+                raise ValueError("event names must be nonempty")
+            if e.name in seen:
+                raise ValueError(f"duplicate event name: {e.name!r}")
+            seen.add(e.name)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -80,9 +83,11 @@ def make_events(observable: Iterable[str] = (), unobservable: Iterable[str] = ()
 class Des:
     """A finite automaton with event observability and a secret partition.
 
-    States are indices 0..state_count-1.  ``secret`` and ``nonsecret`` must
-    be disjoint; states in neither set are neutral.  Immutable after
-    construction.
+    States are indices 0..state_count-1.  Construction checks the model's
+    rules, raising ``ValueError``: at least one state, distinct state names
+    if named, a nonempty initial set, indices in range, and disjoint
+    ``secret`` and ``nonsecret``; states in neither set are neutral.  The
+    event table checks its own rules.  Immutable after construction.
     """
 
     state_count: int
@@ -96,22 +101,25 @@ class Des:
     def __post_init__(self):
         n = self.state_count
         if n <= 0:
-            raise ValueError("state_count must be positive")
+            raise ValueError("a system needs at least one state")
         if not self.initial:
             raise ValueError("initial state set must be nonempty")
         for group in (self.initial, self.secret, self.nonsecret):
             if any(not (0 <= q < n) for q in group):
                 raise ValueError("state index out of range")
         if self.secret & self.nonsecret:
-            raise ValueError("secret and nonsecret state sets must be disjoint")
+            raise ValueError("secret and nonsecret sets intersect")
         m = len(self.events)
         for (p, e, q) in self.transitions:
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError("transition state index out of range")
             if not (0 <= e < m):
                 raise ValueError("transition event index out of range")
-        if self.state_names is not None and len(self.state_names) != n:
-            raise ValueError("state_names length must match state_count")
+        if self.state_names is not None:
+            if len(self.state_names) != n:
+                raise ValueError("state_names length must match state_count")
+            if len(set(self.state_names)) != n:
+                raise ValueError("duplicate state name")
 
     def state_name(self, q: int) -> str:
         if self.state_names is not None:
@@ -213,7 +221,7 @@ def project(des: Des) -> Projection:
 
 
 def check_k(k: KBound) -> KBound:
-    if k is INFINITE or k == math.inf:
+    if k == math.inf:
         return INFINITE
     if isinstance(k, int) and k >= 0:
         return k
@@ -310,11 +318,8 @@ def product_successors(pg: Projection, seeds: Iterable) -> Callable:
 
     It keeps, per state q, the masks of the vertices admitted so far, the
     seeds first, and yields only a vertex (q, Z') that no admitted (q, Z)
-    with Z ⊆ Z' subsumes, admitting it.  The step is monotone in Z, so a
-    violation within j steps of (q, Z') is matched within j steps of
-    (q, Z), which a breadth-first search admitted no later: the verdict
-    and the violation depth do not change at any k.  Being stateful, the
-    function serves one search.
+    with Z ⊆ Z' subsumes, admitting it; ``weak.py`` states why this is
+    sound.  Being stateful, the function serves one search.
     """
     targets = tuple(enumerate(tuple(states_of(mask) for mask in row) for row in pg.rows))
     stepped = {}

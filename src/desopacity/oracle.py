@@ -97,8 +97,6 @@ def weak_violation_search(des: Des, k: KBound, bounds: OracleBounds) -> Optional
     estimate repeats an earlier one are skipped, since the violation
     condition depends on the estimate only.
     """
-    if des.secret & des.nonsecret:
-        raise ValueError("secret and nonsecret state sets must be disjoint")
     k = check_k(k)
     names = _observable_names(des)
     adj = _event_adj(des)
@@ -358,13 +356,13 @@ def random_des(params: GeneratorParams) -> Des:
     rng = random.Random(params.rng_seed)
     n = params.state_count
 
-    def letters(count, prefix, plain):
-        if plain and count <= 26:
+    def letters(count, prefix):
+        if count <= 26:
             return [chr(ord("a") + i) for i in range(count)]
         return [f"{prefix}{i + 1}" for i in range(count)]
 
     events = make_events(
-        letters(params.observable_event_count, "o", plain=True),
+        letters(params.observable_event_count, "o"),
         [f"u{i + 1}" for i in range(params.unobservable_event_count)],
     )
     transitions = set()

@@ -19,7 +19,6 @@ from .automata import (
     EventTable,
     accessible,
     is_deterministic,
-    unobservable_reach,
 )
 from .weak import KBound, Verdict, verify_weak
 
@@ -99,11 +98,7 @@ def normalize(des: Des) -> Des:
     # step (4): prune unreachable states
     trimmed = accessible(doubled)
 
-    assert is_deterministic(trimmed), "normalization must preserve determinism"
-    reach = unobservable_reach(trimmed, trimmed.secret)
-    assert not (reach - trimmed.secret), (
-        "normalized system has a nonsecret state in the unobservable reach of a secret state"
-    )
+    assert is_deterministic(trimmed) and is_normal(trimmed), "normalized system must be deterministic and normal"
     return trimmed
 
 

@@ -77,10 +77,8 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int) -> dict:
     and secret state q in X, with Z = X & ``nonsecret`` (masks), unless an
     earlier root (q, Y) has Y ⊆ Z.  Roots follow the observer's discovery
     order, so the estimate a root maps to has a shortest observation, ties
-    broken by event-table order.  A root (q, Z) dropped for (q, Y) starts no
-    violation that (q, Y) does not match at the same depth, since the
-    product step is monotone in the estimate.  The roots end at the first
-    revealing one (q, 0), where the product search stops.
+    broken by event-table order.  The roots end at the first revealing one
+    (q, 0), where the product search stops.
     """
     seeds = {}
     admitted = {}  # q -> nonsecret masks of the roots with state q

@@ -1,11 +1,7 @@
 import math
 
-from desopacity import INFINITE, load_fixture
+from desopacity import INFINITE
 from desopacity.oracle import GeneratorParams, OracleBounds, random_des
-
-
-def fixture(name):
-    return load_fixture(name)
 
 
 def random_weak_instance(seed, n=4, obs=2, unobs=1, density=1.2, secret=0.3, neutral=0.3):

@@ -321,3 +321,11 @@ def test_des_validation():
         )
     with pytest.raises(ValueError):
         Des(state_count=2, events=make_events(["a"]), transitions=frozenset({(0, 3, 1)}), initial=frozenset({0}))
+    with pytest.raises(ValueError, match="duplicate state name"):
+        Des(
+            state_count=2,
+            events=make_events(["a"]),
+            transitions=frozenset(),
+            initial=frozenset({0}),
+            state_names=("x", "x"),
+        )

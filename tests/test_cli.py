@@ -3,9 +3,12 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from desopacity import (
     INFINITE,
+    Des,
     OracleBounds,
     cli,
     load_fixture,
@@ -73,6 +76,14 @@ def test_parse_diagnostics():
     with pytest.raises(DesFormatError, match="unknown event"):
         parse_des(json.dumps(doc))
 
+    for doc, message in (
+        (dict(base, states=[], initial=[], transitions=[], secret=[], nonsecret=[]), "at least one state"),
+        (dict(base, events=[], transitions=[]), "at least one event"),
+        (dict(base, events=base["events"] + [{"name": "", "observable": False}]), "nonempty"),
+    ):
+        with pytest.raises(DesFormatError, match=message):
+            parse_des(json.dumps(doc))
+
     with pytest.raises(DesFormatError, match="invalid JSON"):
         parse_des("[" * 200000)
 
@@ -100,6 +111,61 @@ def test_parse_rejects_malformed_fields(message, corrupt, tmp_path):
     path = tmp_path / "bad.des"
     path.write_text(json.dumps(doc))
     assert invoke(["verify-weak", "--input", str(path), "--k", "1"])[0] == 2
+
+
+FIG5_DOC = json.loads(serialize_des(load_fixture("fig5")))
+STATE = st.sampled_from(FIG5_DOC["states"]) | st.text(max_size=2)
+EVENT = st.sampled_from([e["name"] for e in FIG5_DOC["events"]]) | st.text(max_size=2)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | STATE,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(STATE, inner, max_size=3),
+    max_leaves=10,
+)
+# Well-shaped values per field, some extending fig5's own lists, so that a
+# replaced field also reaches the model's rules (duplicate or empty names,
+# an empty initial set, secret and nonsecret intersecting).
+STATES = st.lists(STATE, max_size=3)
+SHAPED = {
+    "states": STATES | STATES.map(lambda extra: FIG5_DOC["states"] + extra),
+    "events": st.lists(st.fixed_dictionaries({"name": EVENT, "observable": st.booleans()}), max_size=2).map(
+        lambda extra: FIG5_DOC["events"] + extra
+    ),
+    "transitions": st.lists(st.tuples(STATE, EVENT, STATE).map(list), max_size=4),
+    "initial": STATES,
+    "secret": STATES,
+    "nonsecret": STATES,
+}
+FIG5_VARIANTS = st.sampled_from(sorted(SHAPED)).flatmap(
+    lambda key: (JSON_VALUES | SHAPED[key]).map(lambda value: dict(FIG5_DOC, **{key: value}))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(doc=FIG5_VARIANTS, value=JSON_VALUES)
+def test_parse_des_gives_des_or_format_error(doc, value):
+    for text in (json.dumps(doc), json.dumps(value)):
+        try:
+            assert isinstance(parse_des(text), Des)
+        except DesFormatError:
+            pass
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.binary(max_size=64) | FIG5_VARIANTS.map(lambda doc: json.dumps(doc).encode()))
+def test_cli_any_input_bytes_exit_0_1_or_2(data, tmp_path, capsys):
+    path = tmp_path / "input.des"
+    path.write_bytes(data)
+    for command in ("verify-weak", "verify-strong"):
+        code, _out = invoke([command, "--input", str(path), "--k", "1"])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (command, data)
+        assert "Traceback" not in err, (command, data)
 
 
 def test_cli_verify_weak_fig1():
