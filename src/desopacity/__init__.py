@@ -15,7 +15,6 @@ from .automata import (
     product_successors,
     project,
     states_of,
-    unobservable_reach,
 )
 from .desfile import DesFormatError, parse_des, serialize_des
 from .oracle import (

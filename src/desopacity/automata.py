@@ -3,10 +3,9 @@
 A DES is a nondeterministic finite automaton whose alphabet is split into
 observable and unobservable events, together with disjoint sets of secret
 and nonsecret states.  This module provides the constructions that the
-opacity verifiers are built from: unobservable reach, projection onto the
-observable alphabet, the level-bounded search, the subset-construction
-observer, and the successors of the product of the projection with its
-full observer.
+opacity verifiers are built from: projection onto the observable alphabet,
+the level-bounded search, the subset-construction observer, and the
+successors of the product of the projection with its full observer.
 
 Sets of states inside these constructions are int bitmasks: bit q is set
 iff state q is in the set, and the empty set is 0.  ``project`` computes
@@ -83,11 +82,12 @@ def make_events(observable: Iterable[str] = (), unobservable: Iterable[str] = ()
 class Des:
     """A finite automaton with event observability and a secret partition.
 
-    States are indices 0..state_count-1.  Construction checks the model's
-    rules, raising ``ValueError``: at least one state, distinct state names
-    if named, a nonempty initial set, indices in range, and disjoint
-    ``secret`` and ``nonsecret``; states in neither set are neutral.  The
-    event table checks its own rules.  Immutable after construction.
+    States are indices 0..state_count-1, named ``str(q)`` unless
+    ``state_names`` is given.  Construction checks the model's rules,
+    raising ``ValueError``: at least one state, distinct state names, a
+    nonempty initial set, indices in range, and disjoint ``secret`` and
+    ``nonsecret``; states in neither set are neutral.  The event table
+    checks its own rules.  Immutable after construction.
     """
 
     state_count: int
@@ -115,18 +115,15 @@ class Des:
                 raise ValueError("transition state index out of range")
             if not (0 <= e < m):
                 raise ValueError("transition event index out of range")
-        if self.state_names is not None:
-            if len(self.state_names) != n:
-                raise ValueError("state_names length must match state_count")
-            if len(set(self.state_names)) != n:
-                raise ValueError("duplicate state name")
+        if self.state_names is None:
+            object.__setattr__(self, "state_names", tuple(str(q) for q in range(n)))
+        if len(self.state_names) != n:
+            raise ValueError("state_names length must match state_count")
+        if len(set(self.state_names)) != n:
+            raise ValueError("duplicate state name")
 
     def state_name(self, q: int) -> str:
-        if self.state_names is not None:
-            return self.state_names[q]
-        return str(q)
-
-
+        return self.state_names[q]
 
 
 def mask_of(states: Iterable[int]) -> int:
@@ -174,11 +171,6 @@ def _unobservable_successors(des: Des) -> list:
         if not observable[e]:
             succ[p] |= 1 << q
     return succ
-
-
-def unobservable_reach(des: Des, states: Iterable[int]) -> frozenset:
-    """States reachable from ``states`` by unobservable strings (incl. epsilon)."""
-    return frozenset(states_of(_closure(_unobservable_successors(des), mask_of(states))))
 
 
 @dataclass(frozen=True)
@@ -357,9 +349,6 @@ def accessible(des: Des) -> Des:
         succ[p] |= 1 << q
     kept = states_of(_closure(succ, mask_of(des.initial)))
     remap = {old: new for new, old in enumerate(kept)}
-    names = None
-    if des.state_names is not None:
-        names = tuple(des.state_names[q] for q in kept)
     return Des(
         state_count=len(kept),
         events=des.events,
@@ -371,7 +360,7 @@ def accessible(des: Des) -> Des:
         initial=frozenset(remap[q] for q in des.initial),
         secret=frozenset(remap[q] for q in des.secret if q in remap),
         nonsecret=frozenset(remap[q] for q in des.nonsecret if q in remap),
-        state_names=names,
+        state_names=tuple(des.state_names[q] for q in kept),
     )
 
 

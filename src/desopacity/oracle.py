@@ -156,12 +156,6 @@ def _continuation_search(close_step, a0, b0, nu_limit, names, obs_events):
     return None
 
 
-def current_state_opaque(des: Des) -> bool:
-    """Current-state opacity, i.e. weak 0-step opacity, by the exhaustive
-    search above: estimates repeat after 2^n observations."""
-    return weak_violation_search(des, 0, OracleBounds(mu_max=2 ** des.state_count, nu_max=0)) is None
-
-
 def validate_weak_witness(des: Des, k: KBound, witness: Witness) -> bool:
     """Check a weak-opacity witness against the definition by direct simulation."""
     k = check_k(k)
@@ -271,11 +265,9 @@ def strong_violation_search(des: Des, k: KBound, bounds: OracleBounds) -> Option
 
 def _covered(des: Des, adj, q0, mu, k) -> bool:
     """Search for a run w with P(w)=mu avoiding secret states whenever fewer
-    than k observable steps remain.  Nodes are (state, observed-so-far);
-    the length cap is a search safety net, reachability
-    over these nodes already visits every relevant run shape."""
+    than k observable steps remain.  Nodes are (state, observed-so-far), each
+    enqueued at most once."""
     total = len(mu)
-    cap = (des.state_count + 1) * (total + 1) + des.state_count
     mu_indices = [des.events.index(n) for n in mu]
     unobs = des.events.unobservable_indices()
 
@@ -288,13 +280,11 @@ def _covered(des: Des, adj, q0, mu, k) -> bool:
     if blocked(q0, 0):
         return False
     seen = {start}
-    queue = deque([(start, 0)])
+    queue = deque([start])
     while queue:
-        (state, pos), depth = queue.popleft()
+        state, pos = queue.popleft()
         if pos == total:
             return True
-        if depth >= cap:
-            continue
         nexts = []
         for e in unobs:
             for t in adj.get((state, e), ()):
@@ -304,39 +294,8 @@ def _covered(des: Des, adj, q0, mu, k) -> bool:
         for node in nexts:
             if node not in seen and not blocked(*node):
                 seen.add(node)
-                queue.append((node, depth + 1))
+                queue.append(node)
     return False
-
-
-def language_equivalent(a: Des, b: Des) -> bool:
-    """Equality of the generated (prefix-closed) languages of two deterministic DES.
-
-    Decided by synchronized traversal of the two transition structures,
-    comparing which events are defined at each reachable state pair.
-    """
-    if not is_deterministic(a) or not is_deterministic(b):
-        raise ValueError("language equivalence requires deterministic inputs")
-    if a.events != b.events:
-        raise ValueError("language equivalence requires identical event tables")
-    adj_a = _event_adj(a)
-    adj_b = _event_adj(b)
-    start = (next(iter(a.initial)), next(iter(b.initial)))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        pa, pb = queue.popleft()
-        for e in range(len(a.events)):
-            ta = adj_a.get((pa, e))
-            tb = adj_b.get((pb, e))
-            if (ta is None) != (tb is None):
-                return False
-            if ta is None:
-                continue
-            pair = (next(iter(ta)), next(iter(tb)))
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
 
 
 def random_des(params: GeneratorParams) -> Des:

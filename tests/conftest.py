@@ -1,7 +1,8 @@
 import math
+from collections import deque
 
-from desopacity import INFINITE
-from desopacity.oracle import GeneratorParams, OracleBounds, random_des
+from desopacity import INFINITE, Des, is_deterministic
+from desopacity.oracle import GeneratorParams, OracleBounds, _event_adj, random_des
 
 
 def random_weak_instance(seed, n=4, obs=2, unobs=1, density=1.2, secret=0.3, neutral=0.3):
@@ -45,3 +46,34 @@ def exhaustive_strong_bounds(des, k):
     n = des.state_count
     per_state = 3 ** n if k is INFINITE or k == math.inf else (k + 3) ** n
     return OracleBounds(mu_max=n * per_state, nu_max=0)
+
+
+def language_equivalent(a: Des, b: Des) -> bool:
+    """Equality of the generated (prefix-closed) languages of two deterministic DES.
+
+    Decided by synchronized traversal of the two transition structures,
+    comparing which events are defined at each reachable state pair.
+    """
+    if not is_deterministic(a) or not is_deterministic(b):
+        raise ValueError("language equivalence requires deterministic inputs")
+    if a.events != b.events:
+        raise ValueError("language equivalence requires identical event tables")
+    adj_a = _event_adj(a)
+    adj_b = _event_adj(b)
+    start = (next(iter(a.initial)), next(iter(b.initial)))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        pa, pb = queue.popleft()
+        for e in range(len(a.events)):
+            ta = adj_a.get((pa, e))
+            tb = adj_b.get((pb, e))
+            if (ta is None) != (tb is None):
+                return False
+            if ta is None:
+                continue
+            pair = (next(iter(ta)), next(iter(tb)))
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return True

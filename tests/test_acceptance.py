@@ -19,8 +19,8 @@ from desopacity.cli import run
 from desopacity.desfile import serialize_des
 from desopacity.oracle import (
     GeneratorParams,
-    language_equivalent,
     random_des,
+    simulate_observation,
     strong_violation_search,
     validate_weak_witness,
     weak_violation_search,
@@ -29,6 +29,7 @@ from desopacity.oracle import (
 from conftest import (
     exhaustive_strong_bounds,
     exhaustive_weak_bounds,
+    language_equivalent,
     random_det_instance,
     random_weak_instance,
 )
@@ -101,7 +102,7 @@ def test_criterion_3_differential_oracle_suite():
 
 def test_criterion_4_construction_properties():
     with report("4 construction properties"):
-        from desopacity import is_deterministic, unobservable_reach
+        from desopacity import is_deterministic
 
         checked = 0
         for seed in range(200):
@@ -111,7 +112,7 @@ def test_criterion_4_construction_properties():
             assert language_equivalent(des, des_n)
             assert len(observer(project(des_n))) <= 2 ** des.state_count
             assert is_deterministic(des_n)
-            assert not (unobservable_reach(des_n, des_n.secret) - des_n.secret)
+            assert not (simulate_observation(des_n, des_n.secret, ()) - des_n.secret)
             if is_normal(des):
                 prime = strong_to_weak(des).des_prime
                 assert len(observer(project(prime))) == len(observer(project(des)))

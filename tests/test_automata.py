@@ -13,12 +13,11 @@ from desopacity import (
     product_successors,
     project,
     states_of,
-    unobservable_reach,
 )
 from desopacity.automata import path_to, union_rows
-from desopacity.oracle import language_equivalent, simulate_observation
+from desopacity.oracle import simulate_observation
 
-from conftest import random_det_instance, random_weak_instance
+from conftest import language_equivalent, random_det_instance, random_weak_instance
 
 
 def _adjacency(des):
@@ -35,18 +34,18 @@ def _projected_transitions(pg):
 
 def test_unobservable_reach_chain():
     des = load_fixture("fig5")
-    assert unobservable_reach(des, {1}) == frozenset({1, 2})  # states "2","3"
+    assert simulate_observation(des, {1}, ()) == frozenset({1, 2})  # states "2","3"
 
 
 def test_unobservable_reach_empty():
     des = load_fixture("fig5")
-    assert unobservable_reach(des, set()) == frozenset()
+    assert simulate_observation(des, set(), ()) == frozenset()
 
 
 def test_unobservable_reach_all_observable():
     des = load_fixture("fig1")
     for q in range(des.state_count):
-        assert unobservable_reach(des, {q}) == frozenset({q})
+        assert simulate_observation(des, {q}, ()) == frozenset({q})
 
 
 def test_unobservable_reach_monotone_idempotent():
@@ -56,9 +55,9 @@ def test_unobservable_reach_monotone_idempotent():
         rng = random.Random(seed)
         small = frozenset(rng.sample(states, 2))
         big = small | frozenset(rng.sample(states, 2))
-        assert unobservable_reach(des, small) <= unobservable_reach(des, big)
-        ur = unobservable_reach(des, small)
-        assert unobservable_reach(des, ur) == ur
+        assert simulate_observation(des, small, ()) <= simulate_observation(des, big, ())
+        ur = simulate_observation(des, small, ())
+        assert simulate_observation(des, ur, ()) == ur
 
 
 def test_project_all_observable_identity():
@@ -83,14 +82,14 @@ def test_project_definitional_identity():
         des = random_weak_instance(seed, n=5)
         pg = project(des)
         adj = _adjacency(des)
-        assert pg.initial == mask_of(unobservable_reach(des, des.initial))
+        assert pg.initial == mask_of(simulate_observation(des, des.initial, ()))
         for q in range(des.state_count):
             for new_e, e in enumerate(des.events.observable_indices()):
-                ur_q = unobservable_reach(des, {q})
+                ur_q = simulate_observation(des, {q}, ())
                 step = set()
                 for p in ur_q:
                     step.update(adj.get((p, e), ()))
-                expected = unobservable_reach(des, step)
+                expected = simulate_observation(des, step, ())
                 assert pg.rows[new_e][q] == mask_of(expected)
 
 
@@ -321,6 +320,18 @@ def test_des_validation():
         )
     with pytest.raises(ValueError):
         Des(state_count=2, events=make_events(["a"]), transitions=frozenset({(0, 3, 1)}), initial=frozenset({0}))
+    with pytest.raises(ValueError, match="state index out of range"):
+        Des(state_count=2, events=make_events(["a"]), transitions=frozenset(), initial=frozenset({2}))
+    with pytest.raises(ValueError, match="transition state index out of range"):
+        Des(state_count=2, events=make_events(["a"]), transitions=frozenset({(0, 0, 2)}), initial=frozenset({0}))
+    with pytest.raises(ValueError, match="state_names length"):
+        Des(
+            state_count=2,
+            events=make_events(["a"]),
+            transitions=frozenset(),
+            initial=frozenset({0}),
+            state_names=("x",),
+        )
     with pytest.raises(ValueError, match="duplicate state name"):
         Des(
             state_count=2,

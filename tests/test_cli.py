@@ -23,7 +23,7 @@ from desopacity import (
 from desopacity.cli import build_parser, run
 from desopacity.desfile import DesFormatError
 
-from conftest import random_det_instance
+from conftest import random_det_instance, random_weak_instance
 
 FIXTURES = ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")
 
@@ -43,11 +43,14 @@ def test_parse_fig5():
     assert des.state_count == 4
     assert len(des.events) == 2
     assert des.initial == frozenset({0})
+    with pytest.raises(KeyError):
+        des.events.index("zz")
 
 
 def test_roundtrip_stable():
-    for name in FIXTURES:
-        des = load_fixture(name)
+    systems = [load_fixture(name) for name in FIXTURES]
+    systems += [random_weak_instance(seed) for seed in range(5)] + [random_det_instance(seed) for seed in range(5)]
+    for des in systems:
         again = parse_des(serialize_des(des))
         assert again == des
         assert json.loads(serialize_des(again)) == json.loads(serialize_des(des))
@@ -74,6 +77,10 @@ def test_parse_diagnostics():
 
     doc = dict(base, transitions=[["1", "zz", "2"]])
     with pytest.raises(DesFormatError, match="unknown event"):
+        parse_des(json.dumps(doc))
+
+    doc = dict(base, events=base["events"] + [{"name": 7, "observable": True}])
+    with pytest.raises(DesFormatError, match="event names must be strings"):
         parse_des(json.dumps(doc))
 
     for doc, message in (
@@ -365,6 +372,7 @@ def test_cli_error_paths(tmp_path, capsys):
         ["verify-weak", "--input", fig1, "--k", "1", "--dot", str(plain)],
         ["verify-weak", "--input", fig1, "--k", "-1"],
         ["bench", "--input", fig1, "--k-list", "1,-1"],
+        ["bench", "--input", fig1, "--k-list", ","],
         # generator values that would silently give a degenerate system
         random_argv(tmp_path / "r.des", density="nan"),
         random_argv(tmp_path / "r.des", obs_events="-1", unobs_events="2"),
@@ -376,6 +384,8 @@ def test_cli_error_paths(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
         assert "Traceback" not in err, argv
     assert not (tmp_path / "r.des").exists()
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: desopacity")
 
 
 def test_cli_main_exits_with_run_code(monkeypatch):

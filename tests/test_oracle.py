@@ -31,6 +31,8 @@ def test_weak_search_fig1():
     assert mu == ("a",)
     assert nu == ("b",)
     assert x == 1  # state "2"
+    assert weak_violation_search(des, 1, OracleBounds(mu_max=0, nu_max=2)) is None
+    assert weak_violation_search(des, 1, OracleBounds(mu_max=1, nu_max=2)) == (("a",), 1, ("b",))
 
 
 def test_weak_search_fig2_none():
@@ -63,6 +65,13 @@ def test_validate_weak_witness_fig1():
     assert not validate_weak_witness(des, 1, too_long)
     not_secret = Witness(v.witness.mu, 3, v.witness.nu, v.witness.origin_estimate)
     assert not validate_weak_witness(des, 1, not_secret)
+    # after "a" the estimate is {"2", "4"}, with "2" secret and "4" nonsecret
+    for k, nu in (
+        (2, ("b", "b")),  # "2" has no continuation on "bb" (nor has "4")
+        (1, ()),  # the nonsecret "4" explains the empty continuation
+        (1, ("z",)),  # not an observable event
+    ):
+        assert not validate_weak_witness(des, k, Witness(("a",), 1, nu, v.witness.origin_estimate)), nu
 
 
 def test_strong_search_fig5():
@@ -72,6 +81,8 @@ def test_strong_search_fig5():
         # the length-lex-first violation is "a": the run a itself ends in the
         # secret state, so no k hides it
         assert s == ("a",)
+    assert strong_violation_search(des, 1, OracleBounds(mu_max=0, nu_max=0)) is None
+    assert strong_violation_search(des, 1, OracleBounds(mu_max=3, nu_max=0)) == ("a",)
 
 
 def test_strong_search_no_secret():
@@ -151,6 +162,8 @@ def test_random_des_counts_and_validation():
     assert len(des.events.observable_indices()) == 3
     assert len(des.events.unobservable_indices()) == 2
     assert des.initial == frozenset({0})
+    many = random_des(dataclasses.replace(params, observable_event_count=27))
+    assert many.events.names[:27] == tuple(f"o{i}" for i in range(1, 28))
     with pytest.raises(ValueError):
         random_des(dataclasses.replace(params, deterministic=True, transition_density=1.5))
     with pytest.raises(ValueError):
@@ -160,6 +173,8 @@ def test_random_des_counts_and_validation():
         {"transition_density": -0.5},
         {"observable_event_count": -1},  # with 2 unobservable events the total stays positive
         {"unobservable_event_count": -1},
+        {"observable_event_count": 0, "unobservable_event_count": 0},
+        {"secret_fraction": 1.5},
     ):
         with pytest.raises(ValueError):
             random_des(dataclasses.replace(params, **bad))

@@ -14,13 +14,12 @@ from desopacity import (
     project,
     reduce_to_weak,
     strong_to_weak,
-    unobservable_reach,
     verify_strong,
     verify_weak,
 )
-from desopacity.oracle import language_equivalent
+from desopacity.oracle import simulate_observation
 
-from conftest import random_det_instance
+from conftest import language_equivalent, random_det_instance
 
 
 def _successor(des):
@@ -128,7 +127,7 @@ def test_normalize_structural_guarantees():
         des = random_det_instance(seed, n=6, obs=2, unobs=2, density=0.8)
         des_n = normalize(des)
         assert is_deterministic(des_n)
-        assert not (unobservable_reach(des_n, des_n.secret) - des_n.secret)
+        assert not (simulate_observation(des_n, des_n.secret, ()) - des_n.secret)
         assert len(observer(project(des_n))) <= 2 ** des.state_count
 
 
@@ -148,6 +147,8 @@ def test_strong_to_weak_fresh_event_avoids_collision():
     renamed_events = make_events(["a", "b", "c"], ["u"])
     clash = dataclasses.replace(des, events=renamed_events)
     assert _added_event(clash, strong_to_weak(clash).des_prime) == "u1"
+    clash = dataclasses.replace(des, events=make_events(["a", "b", "c"], ["u", "u1"]))
+    assert _added_event(clash, strong_to_weak(clash).des_prime) == "u2"
 
 
 def test_strong_to_weak_single_fresh_occurrence():

@@ -19,10 +19,10 @@ from desopacity import (
     verify_weak,
 )
 from desopacity.automata import path_to, union_rows
-from desopacity.oracle import current_state_opaque, simulate_observation, validate_weak_witness
+from desopacity.oracle import simulate_observation, validate_weak_witness, weak_violation_search
 from desopacity.weak import Verdict, VerifyStats, check_k
 
-from conftest import random_det_instance, random_weak_instance
+from conftest import exhaustive_weak_bounds, random_det_instance, random_weak_instance
 
 
 def _seeds(des):
@@ -396,7 +396,8 @@ def test_verify_weak_rejects_overlap():
 
 
 def test_current_state_opacity_fig5():
-    assert current_state_opaque(load_fixture("fig5"))
+    des = load_fixture("fig5")
+    assert weak_violation_search(des, 0, exhaustive_weak_bounds(des, 0)) is None
 
 
 def test_current_state_opacity_secret_initial():
@@ -407,13 +408,13 @@ def test_current_state_opacity_secret_initial():
         initial=frozenset({0}),
         secret=frozenset({0}),
     )
-    assert not current_state_opaque(des)
+    assert weak_violation_search(des, 0, exhaustive_weak_bounds(des, 0)) is not None
 
 
 def test_current_state_opacity_agrees_with_k0():
     for seed in range(80):
         des = random_weak_instance(seed, n=5)
-        assert current_state_opaque(des) == verify_weak(des, 0).opaque
+        assert (weak_violation_search(des, 0, exhaustive_weak_bounds(des, 0)) is None) == verify_weak(des, 0).opaque
 
 
 def test_verdict_requires_witness_consistency():
