@@ -8,21 +8,31 @@ the level-bounded search, the subset-construction observer, and the
 successors of the product of the projection with its full observer.
 
 Sets of states inside these constructions are int bitmasks: bit q is set
-iff state q is in the set, and the empty set is 0.  ``project`` computes
-one step kernel per system, and the observer, the seeds and the product
-all step through it.  The observer and the product are both searched by
-``bounded_bfs``, and ``path_to`` reads a path off either search.
+iff state q is in the set, and the empty set is 0.  ``project`` builds one
+step kernel per system.  It packs each state's successors on every
+observable event into one int, event j's at bit offset j·n for n states,
+and tables, for each block of 8 states, the union of those packed rows
+over all 256 subsets of the block.  Stepping an estimate then ORs one
+lookup per 8 states, whatever the number of events, and each event's
+successor estimate is read off with a shift and a mask.  The observer, the
+product and the DOT export all step through this kernel.  The observer and
+the product are both searched by ``bounded_bfs``, and ``path_to`` reads a
+path off either search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 # k is a nonnegative int or INFINITE.
 KBound = Union[int, float]
 INFINITE: KBound = math.inf
+
+# States per lookup table of the step kernel: each table has 2^BLOCK entries.
+BLOCK = 8
+BYTE = (1 << BLOCK) - 1
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,8 @@ def states_of(mask: int) -> tuple:
 
 
 def union_rows(row, mask: int) -> int:
-    """Union of ``row[q]`` over the states q in ``mask``: the kernel's inner loop."""
+    """Union of ``row[q]`` over the states q in ``mask``, one state at a time:
+    the definitional step that ``project`` builds the rows from."""
     out = 0
     while mask:
         low = mask & -mask
@@ -181,34 +192,74 @@ class Projection:
     ``u* o u*`` whose one observable event o is ``event_names[j]``;
     ``initial`` is the unobservable reach of the initial states.  Event
     names follow event-table order.  Unobservable reach distributes over
-    union, so the step of a set Z on event j is ``union_rows(rows[j], Z)``
-    and no closure runs per set.
+    union, so the step of a set Z on event j is the union of ``rows[j][q]``
+    over q in Z, and no closure runs per set.
+
+    ``rows`` is the definitional form, and ``step`` the kernel built from
+    it.  ``step(Z)`` is one packed int that holds the step of Z on every
+    event, event j's mask at bit offset ``j * state_count``: shifting right
+    by that offset and masking with ``(1 << state_count) - 1`` reads it
+    off.  It ORs one table lookup per 8 states of Z, whatever the number of
+    events.
     """
 
     event_names: tuple
     rows: tuple
     initial: int
+    state_count: int
+    step: Callable[[int], int] = field(compare=False, repr=False)
+
+
+def _step_kernel(rows: tuple, n: int) -> Callable[[int], int]:
+    """The packed step of ``rows`` over n states (see ``Projection``).
+
+    A block's table maps each byte of the estimate to the union of the
+    packed rows of its states; it is built by doubling, one state per pass.
+    """
+    packed = [0] * n
+    for j, row in enumerate(rows):
+        for q, succ in enumerate(row):
+            packed[q] |= succ << (j * n)
+    tables = []
+    for base in range(0, n, BLOCK):
+        table = [0]
+        for row in packed[base:base + BLOCK]:
+            table += [v | row for v in table]
+        tables.append(table)
+
+    def step(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & BYTE]
+            mask >>= BLOCK
+        return out
+
+    return step
 
 
 def project(des: Des) -> Projection:
     """Projection onto the observable alphabet: the unobservable closure of
-    each state is computed once, and each row closes one observable step."""
+    each state is computed once, each row closes one observable step, and
+    the step kernel is tabled from the rows."""
+    n = des.state_count
     unobservable = _unobservable_successors(des)
-    closures = [_closure(unobservable, 1 << q) for q in range(des.state_count)]
+    closures = [_closure(unobservable, 1 << q) for q in range(n)]
     columns = {e: j for j, e in enumerate(des.events.observable_indices())}
-    succ = [[0] * des.state_count for _ in columns]
+    succ = [[0] * n for _ in columns]
     for (p, e, q) in des.transitions:
         j = columns.get(e)
         if j is not None:
             succ[j][p] |= 1 << q
     rows = tuple(
-        tuple(union_rows(closures, union_rows(step, closures[q])) for q in range(des.state_count))
-        for step in succ
+        tuple(union_rows(closures, union_rows(moves, closures[q])) for q in range(n))
+        for moves in succ
     )
     return Projection(
         event_names=tuple(des.events[e].name for e in columns),
         rows=rows,
         initial=union_rows(closures, mask_of(des.initial)),
+        state_count=n,
+        step=_step_kernel(rows, n),
     )
 
 
@@ -271,8 +322,29 @@ def path_to(marked: dict, v) -> tuple:
     return v, tuple(labels)
 
 
+def estimate_successors(pg: Projection) -> Callable:
+    """Successor function of the observer: for an estimate x, the (event
+    index, estimate) pairs of its nonempty steps, in event order, each read
+    off one packed ``pg.step(x)``."""
+    step = pg.step
+    n = pg.state_count
+    full = (1 << n) - 1
+
+    def successors(x):
+        y = step(x)
+        j = 0
+        while y:
+            z = y & full
+            if z:
+                yield j, z
+            y >>= n
+            j += 1
+
+    return successors
+
+
 def observer(pg: Projection) -> dict:
-    """Subset construction over the projection's rows, reachable part only.
+    """Subset construction over the projection's kernel, reachable part only.
 
     Maps each nonempty estimate (a mask) to its BFS parent link (parent
     estimate, event index), or None for the initial estimate, in discovery
@@ -280,15 +352,7 @@ def observer(pg: Projection) -> dict:
     shortest observation reaching an estimate, ties broken by event-table
     order.  The empty estimate is never stored.
     """
-    events = tuple(enumerate(pg.rows))
-
-    def successors(x):
-        for j, row in events:
-            y = union_rows(row, x)
-            if y:
-                yield j, y
-
-    return bounded_bfs(successors, (pg.initial,), INFINITE)[0]
+    return bounded_bfs(estimate_successors(pg), (pg.initial,), INFINITE)[0]
 
 
 def subsumed(masks, z: int) -> bool:
@@ -304,9 +368,10 @@ def product_successors(pg: Projection, seeds: Iterable) -> Callable:
     observer, pruned by subsumption for one search from ``seeds``.
 
     A vertex is (q, Z): a state and an estimate mask.  On event j it moves
-    to (q', union_rows(rows[j], Z)) for every q' in ``rows[j][q]``, as (j,
-    vertex) pairs in event order and then state order.  Z = 0 is the empty
-    estimate and stays 0.  Each distinct Z is stepped once.
+    to (q', Z') for every q' in ``rows[j][q]``, where Z' is event j's slice
+    of ``pg.step(Z)``, as (j, vertex) pairs in event order and then state
+    order.  Z = 0 is the empty estimate and stays 0.  Each distinct Z is
+    stepped once.
 
     It keeps, per state q, the masks of the vertices admitted so far, the
     seeds first, and yields only a vertex (q, Z') that no admitted (q, Z)
@@ -314,6 +379,10 @@ def product_successors(pg: Projection, seeds: Iterable) -> Callable:
     sound.  Being stateful, the function serves one search.
     """
     targets = tuple(enumerate(tuple(states_of(mask) for mask in row) for row in pg.rows))
+    step = pg.step
+    n = pg.state_count
+    full = (1 << n) - 1
+    offsets = range(0, n * len(pg.rows), n)
     stepped = {}
     seen = set()  # vertices admitted or found subsumed
     admitted = {}  # q -> masks of the admitted vertices with state q
@@ -325,7 +394,8 @@ def product_successors(pg: Projection, seeds: Iterable) -> Callable:
         q, z = vertex
         z_next = stepped.get(z)
         if z_next is None:
-            z_next = stepped[z] = tuple(union_rows(row, z) for row in pg.rows)
+            y = step(z)
+            z_next = stepped[z] = tuple((y >> offset) & full for offset in offsets)
         for j, row in targets:
             z2 = z_next[j]
             for q2 in row[q]:

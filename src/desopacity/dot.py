@@ -6,7 +6,7 @@ drawn; secret states are double-circled.
 
 from __future__ import annotations
 
-from .automata import Des, observer, project, states_of, union_rows
+from .automata import Des, estimate_successors, observer, project, states_of
 
 
 def _quote(s: str) -> str:
@@ -30,9 +30,10 @@ def des_to_dot(des: Des) -> str:
 
 def observer_to_dot(des: Des) -> str:
     """The observer of ``des``: states numbered in discovery order, edges
-    stepped through the projection kernel."""
+    stepped through the projection's kernel, as the observer is."""
     pg = project(des)
     index = {x: i for i, x in enumerate(observer(pg))}
+    successors = estimate_successors(pg)
 
     def estimate_label(x):
         return "{" + ",".join(des.state_name(q) for q in states_of(x)) + "}"
@@ -42,9 +43,8 @@ def observer_to_dot(des: Des) -> str:
         lines.append(f"  s{i} [shape=circle, label={_quote(estimate_label(x))}];")
     lines.append("  __init -> s0;")
     for x, i in index.items():
-        for name, row in zip(pg.event_names, pg.rows):
-            y = union_rows(row, x)
-            if y:  # transitions into the empty-estimate sink are omitted
-                lines.append(f"  s{i} -> s{index[y]} [label={_quote(name)}];")
+        # transitions into the empty-estimate sink are omitted
+        for j, y in successors(x):
+            lines.append(f"  s{i} -> s{index[y]} [label={_quote(pg.event_names[j])}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -77,24 +77,31 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int) -> dict:
     and secret state q in X, with Z = X & ``nonsecret`` (masks), unless an
     earlier root (q, Y) has Y ⊆ Z.  Roots follow the observer's discovery
     order, so the estimate a root maps to has a shortest observation, ties
-    broken by event-table order.  The roots end at the first revealing one
-    (q, 0), where the product search stops.
+    broken by event-table order.  An estimate whose secret and nonsecret
+    states equal an earlier one's gives the same roots, so it is skipped.
+    The roots end at the first revealing one (q, 0), where the product
+    search stops.
     """
     seeds = {}
     admitted = {}  # q -> nonsecret masks of the roots with state q
+    harvested = set()  # X & (secret | nonsecret) of the estimates seen
+    marked = secret | nonsecret
     for x in obs:
         secrets = x & secret
-        if secrets:
-            z = x & nonsecret
-            for q in states_of(secrets):
-                if (q, z) in seeds:
-                    continue
-                masks = admitted.setdefault(q, [])
-                if not subsumed(masks, z):
-                    masks.append(z)
-                    seeds[(q, z)] = x
-                    if not z:
-                        return seeds
+        key = x & marked
+        if not secrets or key in harvested:
+            continue
+        harvested.add(key)
+        z = x & nonsecret
+        for q in states_of(secrets):
+            if (q, z) in seeds:
+                continue
+            masks = admitted.setdefault(q, [])
+            if not subsumed(masks, z):
+                masks.append(z)
+                seeds[(q, z)] = x
+                if not z:
+                    return seeds
     return seeds
 
 

@@ -183,6 +183,25 @@ def test_full_observer_agrees_with_observer():
                 assert y == mask_of(simulate_observation(des, states_of(x), [name]))
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 64, 65, 130])
+def test_step_kernel_matches_rows(n):
+    # each event's slice of the packed step is the union of that event's
+    # rows, on random masks and on every observer estimate; n covers one
+    # block, whole blocks and a last, partial block of 8 states
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    systems = [random_weak_instance(seed, n=n, obs=3) for seed in range(3)]
+    systems.append(random_weak_instance(0, n=n, obs=0, unobs=2))  # no observable event
+    for des in systems:
+        pg = project(des)
+        masks = [rng.getrandbits(n) for _ in range(50)] + [0, full, 1 << (n - 1)] + list(observer(pg))
+        for x in masks:
+            y = pg.step(x)
+            for j, row in enumerate(pg.rows):
+                assert (y >> (j * n)) & full == union_rows(row, x)
+            assert y >> (len(pg.rows) * n) == 0
+
+
 def test_full_observer_step_rejects_unobservable():
     # the kernel has rows for observable events only
     des = load_fixture("fig5")

@@ -1,9 +1,11 @@
-"""Invariances of the verifiers on systems past the oracles' exhaustive sizes.
+"""Properties of the verifiers on systems past the oracles' exhaustive sizes.
 
 Renaming the states or adding states that no run reaches changes nothing a
 verdict depends on, so the verdict, the violation depth (the length of the
 witness's continuation) and the observer's size must not change either.
 The witness's observation may: ties between seeds are broken by state index.
+A system is weakly k-step opaque exactly for the k below its violation
+depth, so one run at k = inf decides every k.
 """
 
 import random
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desopacity import INFINITE, Des, verify_strong, verify_weak
+from desopacity.oracle import validate_weak_witness
 
 from conftest import random_det_instance, random_weak_instance
 
@@ -77,6 +80,20 @@ def test_weak_verdict_invariant_under_permutation_and_padding(systems, k):
     expected = _weak_summary(verify_weak(des, k))
     assert _weak_summary(verify_weak(permuted, k)) == expected
     assert _weak_summary(verify_weak(padded, k)) == expected
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(SEEDS, st.integers(6, 12))
+def test_weak_violation_depth_decides_every_k(seed, n):
+    des = random_weak_instance(seed, n=n)
+    at_inf = verify_weak(des, INFINITE)
+    depth = None if at_inf.opaque else len(at_inf.witness.nu)
+    for k in (0, 1, 2, 3, 5, INFINITE):
+        verdict = at_inf if k is INFINITE else verify_weak(des, k)
+        assert verdict.opaque == (depth is None or k < depth)
+        if not verdict.opaque:
+            assert len(verdict.witness.nu) == depth
+            assert validate_weak_witness(des, k, verdict.witness)
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
