@@ -8,16 +8,15 @@ the level-bounded search, the subset-construction observer, and the
 successors of the product of the projection with its full observer.
 
 Sets of states inside these constructions are int bitmasks: bit q is set
-iff state q is in the set, and the empty set is 0.  ``project`` builds one
-step kernel per system.  It packs each state's successors on every
-observable event into one int, event j's at bit offset j·n for n states,
-and tables, for each block of 8 states, the union of those packed rows
-over all 256 subsets of the block.  Stepping an estimate then ORs one
-lookup per 8 states, whatever the number of events, and each event's
-successor estimate is read off with a shift and a mask.  The observer, the
-product and the DOT export all step through this kernel.  The observer and
-the product are both searched by ``bounded_bfs``, and ``path_to`` reads a
-path off either search.
+iff state q is in the set, and the empty set is 0.  The projection has one
+representation: per state, one packed int of its successors on every
+observable event, event j's at bit offset j·n for n states.  The step
+kernel tables, for each block of 8 states, the union of their packed rows
+over all 256 subsets of the block, so stepping an estimate ORs one lookup
+per 8 states and reads each event's successor off with a shift and a mask.
+The observer, the product and the DOT export step through this kernel.
+The observer and the product are both searched by ``bounded_bfs``, and
+``path_to`` reads a path off either search.
 """
 
 from __future__ import annotations
@@ -156,7 +155,7 @@ def states_of(mask: int) -> tuple:
 
 def union_rows(row, mask: int) -> int:
     """Union of ``row[q]`` over the states q in ``mask``, one state at a time:
-    the definitional step that ``project`` builds the rows from."""
+    a closure's step, and ``project``'s union of packed rows over a closure."""
     out = 0
     while mask:
         low = mask & -mask
@@ -186,42 +185,34 @@ def _unobservable_successors(des: Des) -> list:
 
 @dataclass(frozen=True)
 class Projection:
-    """The projected automaton, as a step kernel over state masks.
+    """The projected automaton, as one packed row per state.
 
-    ``rows[j][q]`` is the mask of states reachable from q by a string
-    ``u* o u*`` whose one observable event o is ``event_names[j]``;
-    ``initial`` is the unobservable reach of the initial states.  Event
-    names follow event-table order.  Unobservable reach distributes over
-    union, so the step of a set Z on event j is the union of ``rows[j][q]``
-    over q in Z, and no closure runs per set.
-
-    ``rows`` is the definitional form, and ``step`` the kernel built from
-    it.  ``step(Z)`` is one packed int that holds the step of Z on every
-    event, event j's mask at bit offset ``j * state_count``: shifting right
-    by that offset and masking with ``(1 << state_count) - 1`` reads it
-    off.  It ORs one table lookup per 8 states of Z, whatever the number of
-    events.
+    Event j's slice of ``packed[q]``, at bit offset ``j * state_count``, is
+    the mask of states reachable from q by a string ``u* o u*`` whose one
+    observable event o is ``event_names[j]``; shifting right by the offset
+    and masking with ``(1 << state_count) - 1`` reads it off.  ``initial``
+    is the unobservable reach of the initial states.  Event names follow
+    event-table order.  Unobservable reach distributes over union, so the
+    step of a set Z on every event is the union of ``packed[q]`` over q in
+    Z, and no closure runs per set.  ``step(Z)`` is that union, one table
+    lookup per 8 states of Z; the tables are an index built from ``packed``.
     """
 
     event_names: tuple
-    rows: tuple
+    packed: tuple
     initial: int
     state_count: int
     step: Callable[[int], int] = field(compare=False, repr=False)
 
 
-def _step_kernel(rows: tuple, n: int) -> Callable[[int], int]:
-    """The packed step of ``rows`` over n states (see ``Projection``).
+def _step_kernel(packed: tuple) -> Callable[[int], int]:
+    """The step over ``packed``, a ``Projection``'s packed rows.
 
     A block's table maps each byte of the estimate to the union of the
     packed rows of its states; it is built by doubling, one state per pass.
     """
-    packed = [0] * n
-    for j, row in enumerate(rows):
-        for q, succ in enumerate(row):
-            packed[q] |= succ << (j * n)
     tables = []
-    for base in range(0, n, BLOCK):
+    for base in range(0, len(packed), BLOCK):
         table = [0]
         for row in packed[base:base + BLOCK]:
             table += [v | row for v in table]
@@ -239,27 +230,25 @@ def _step_kernel(rows: tuple, n: int) -> Callable[[int], int]:
 
 def project(des: Des) -> Projection:
     """Projection onto the observable alphabet: the unobservable closure of
-    each state is computed once, each row closes one observable step, and
-    the step kernel is tabled from the rows."""
+    each state is computed once, each observable move p -e_j-> q puts the
+    closure of q into p's moves at event j's offset, and a state's packed
+    row is the union of the moves over its closure."""
     n = des.state_count
     unobservable = _unobservable_successors(des)
     closures = [_closure(unobservable, 1 << q) for q in range(n)]
-    columns = {e: j for j, e in enumerate(des.events.observable_indices())}
-    succ = [[0] * n for _ in columns]
+    offsets = {e: j * n for j, e in enumerate(des.events.observable_indices())}
+    moves = [0] * n
     for (p, e, q) in des.transitions:
-        j = columns.get(e)
-        if j is not None:
-            succ[j][p] |= 1 << q
-    rows = tuple(
-        tuple(union_rows(closures, union_rows(moves, closures[q])) for q in range(n))
-        for moves in succ
-    )
+        offset = offsets.get(e)
+        if offset is not None:
+            moves[p] |= closures[q] << offset
+    packed = tuple(union_rows(moves, closures[q]) for q in range(n))
     return Projection(
-        event_names=tuple(des.events[e].name for e in columns),
-        rows=rows,
+        event_names=tuple(des.events[e].name for e in offsets),
+        packed=packed,
         initial=union_rows(closures, mask_of(des.initial)),
         state_count=n,
-        step=_step_kernel(rows, n),
+        step=_step_kernel(packed),
     )
 
 
@@ -368,37 +357,44 @@ def product_successors(pg: Projection, seeds: Iterable) -> Callable:
     observer, pruned by subsumption for one search from ``seeds``.
 
     A vertex is (q, Z): a state and an estimate mask.  On event j it moves
-    to (q', Z') for every q' in ``rows[j][q]``, where Z' is event j's slice
-    of ``pg.step(Z)``, as (j, vertex) pairs in event order and then state
-    order.  Z = 0 is the empty estimate and stays 0.  Each distinct Z is
-    stepped once.
+    to (q', Z') for every q' in event j's slice of ``pg.packed[q]``, where
+    Z' is event j's slice of ``pg.step(Z)``, as (j, vertex) pairs in event
+    order and then state order.  Z = 0 is the empty estimate and stays 0.
+    Each distinct Z is stepped once, and a state's targets are read off its
+    packed row when the search first expands it.
 
     It keeps, per state q, the masks of the vertices admitted so far, the
     seeds first, and yields only a vertex (q, Z') that no admitted (q, Z)
     with Z ⊆ Z' subsumes, admitting it; ``weak.py`` states why this is
     sound.  Being stateful, the function serves one search.
     """
-    targets = tuple(enumerate(tuple(states_of(mask) for mask in row) for row in pg.rows))
+    packed = pg.packed
     step = pg.step
     n = pg.state_count
     full = (1 << n) - 1
-    offsets = range(0, n * len(pg.rows), n)
+    offsets = range(0, n * len(pg.event_names), n)
     stepped = {}
+    targets = {}  # q -> (event, target states) pairs, one per nonempty event
     seen = set()  # vertices admitted or found subsumed
     admitted = {}  # q -> masks of the admitted vertices with state q
     for q, z in seeds:
         seen.add((q, z))
         admitted.setdefault(q, []).append(z)
 
+    def slices(y):
+        return tuple((y >> offset) & full for offset in offsets)
+
     def successors(vertex):
         q, z = vertex
         z_next = stepped.get(z)
         if z_next is None:
-            y = step(z)
-            z_next = stepped[z] = tuple((y >> offset) & full for offset in offsets)
-        for j, row in targets:
+            z_next = stepped[z] = slices(step(z))
+        moves = targets.get(q)
+        if moves is None:
+            moves = targets[q] = tuple((j, states_of(t)) for j, t in enumerate(slices(packed[q])) if t)
+        for j, states in moves:
             z2 = z_next[j]
-            for q2 in row[q]:
+            for q2 in states:
                 v = (q2, z2)
                 if v in seen:
                     continue

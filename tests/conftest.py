@@ -1,8 +1,8 @@
 import math
 from collections import deque
 
-from desopacity import INFINITE, Des, is_deterministic
-from desopacity.oracle import GeneratorParams, OracleBounds, _event_adj, random_des
+from desopacity import INFINITE, Des, is_deterministic, mask_of
+from desopacity.oracle import GeneratorParams, OracleBounds, _event_adj, random_des, simulate_observation
 
 
 def random_weak_instance(seed, n=4, obs=2, unobs=1, density=1.2, secret=0.3, neutral=0.3):
@@ -31,6 +31,14 @@ def random_det_instance(seed, n=4, obs=2, unobs=1, density=0.8, secret=0.3):
         rng_seed=seed,
     )
     return random_des(params)
+
+
+def oracle_rows(des):
+    """Per observable event in event-table order, per state q: the mask of
+    states the oracle's simulation reaches from {q} on that one event.  A
+    reference for the projection that shares no code with ``project``."""
+    names = [e.name for e in des.events.entries if e.observable]
+    return [[mask_of(simulate_observation(des, {q}, [name])) for q in range(des.state_count)] for name in names]
 
 
 def exhaustive_weak_bounds(des, k):

@@ -17,7 +17,7 @@ from desopacity import (
 from desopacity.automata import path_to, union_rows
 from desopacity.oracle import simulate_observation
 
-from conftest import language_equivalent, random_det_instance, random_weak_instance
+from conftest import language_equivalent, oracle_rows, random_det_instance, random_weak_instance
 
 
 def _adjacency(des):
@@ -28,8 +28,19 @@ def _adjacency(des):
     return {key: tuple(sorted(targets)) for key, targets in adj.items()}
 
 
+def event_slice(pg, y, j):
+    """Event j's mask in a packed int ``y`` of the projection ``pg``."""
+    n = pg.state_count
+    return (y >> (j * n)) & ((1 << n) - 1)
+
+
 def _projected_transitions(pg):
-    return {(q, j, r) for j, row in enumerate(pg.rows) for q, succ in enumerate(row) for r in states_of(succ)}
+    return {
+        (q, j, r)
+        for j in range(len(pg.event_names))
+        for q, y in enumerate(pg.packed)
+        for r in states_of(event_slice(pg, y, j))
+    }
 
 
 def test_unobservable_reach_chain():
@@ -63,7 +74,7 @@ def test_unobservable_reach_monotone_idempotent():
 def test_project_all_observable_identity():
     des = load_fixture("fig1")
     pg = project(des)
-    assert all(len(row) == des.state_count for row in pg.rows)
+    assert len(pg.packed) == des.state_count
     assert pg.event_names == des.events.names
     assert _projected_transitions(pg) == des.transitions
     assert pg.initial == mask_of(des.initial)
@@ -73,8 +84,8 @@ def test_project_chain():
     des = load_fixture("fig5")
     pg = project(des)
     a = 0
-    assert pg.rows[a][0] == mask_of({1, 2})  # gamma("1",a)={"2","3"}
-    assert pg.rows[a][2] == mask_of({3})  # gamma("3",a)={"4"}
+    assert event_slice(pg, pg.packed[0], a) == mask_of({1, 2})  # gamma("1",a)={"2","3"}
+    assert event_slice(pg, pg.packed[2], a) == mask_of({3})  # gamma("3",a)={"4"}
 
 
 def test_project_definitional_identity():
@@ -90,7 +101,7 @@ def test_project_definitional_identity():
                 for p in ur_q:
                     step.update(adj.get((p, e), ()))
                 expected = simulate_observation(des, step, ())
-                assert pg.rows[new_e][q] == mask_of(expected)
+                assert event_slice(pg, pg.packed[q], new_e) == mask_of(expected)
 
 
 def test_observer_chain():
@@ -131,7 +142,7 @@ def test_observer_matches_direct_simulation():
             mu = [rng.choice(names) for _ in range(rng.randrange(9))]
             x = pg.initial
             for name in mu:
-                x = union_rows(pg.rows[names.index(name)], x)
+                x = event_slice(pg, pg.step(x), names.index(name))
                 assert x == 0 or x in obs
             assert x == mask_of(simulate_observation(des, des.initial, mu))
 
@@ -152,21 +163,21 @@ def test_observer_empty_observable_alphabet():
     pg = project(des)
     obs = observer(pg)
     assert tuple(obs) == (mask_of({0, 1}),)
-    assert pg.rows == ()  # no event to step on
+    assert pg.packed == (0, 0)  # no event to step on
 
 
 def test_full_observer_step_sink():
     pg = project(load_fixture("fig1"))
     a = pg.event_names.index("a")
     b = pg.event_names.index("b")
-    assert union_rows(pg.rows[b], mask_of({3})) == 0  # state "4" dies on b
-    assert union_rows(pg.rows[a], 0) == 0
+    assert event_slice(pg, pg.step(mask_of({3})), b) == 0  # state "4" dies on b
+    assert event_slice(pg, pg.step(0), a) == 0
 
 
 def test_full_observer_step_dashed_transition():
     pg = project(load_fixture("fig2"))
     a = pg.event_names.index("a")
-    assert union_rows(pg.rows[a], mask_of({3})) == mask_of({4})  # {4} -a-> {5}
+    assert event_slice(pg, pg.step(mask_of({3})), a) == mask_of({4})  # {4} -a-> {5}
 
 
 def test_full_observer_agrees_with_observer():
@@ -178,36 +189,38 @@ def test_full_observer_agrees_with_observer():
         obs = observer(pg)
         for x in obs:
             for j, name in enumerate(pg.event_names):
-                y = union_rows(pg.rows[j], x)
+                y = event_slice(pg, pg.step(x), j)
                 assert y == 0 or y in obs
                 assert y == mask_of(simulate_observation(des, states_of(x), [name]))
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 64, 65, 130])
 def test_step_kernel_matches_rows(n):
-    # each event's slice of the packed step is the union of that event's
-    # rows, on random masks and on every observer estimate; n covers one
-    # block, whole blocks and a last, partial block of 8 states
+    # each event's slice of the packed step is the union, over the states
+    # of the mask, of the oracle's one-event simulation from each state, on
+    # random masks and on every observer estimate; n covers one block, whole
+    # blocks and a last, partial block of 8 states
     rng = random.Random(n)
     full = (1 << n) - 1
     systems = [random_weak_instance(seed, n=n, obs=3) for seed in range(3)]
     systems.append(random_weak_instance(0, n=n, obs=0, unobs=2))  # no observable event
     for des in systems:
         pg = project(des)
+        rows = oracle_rows(des)
         masks = [rng.getrandbits(n) for _ in range(50)] + [0, full, 1 << (n - 1)] + list(observer(pg))
         for x in masks:
             y = pg.step(x)
-            for j, row in enumerate(pg.rows):
+            for j, row in enumerate(rows):
                 assert (y >> (j * n)) & full == union_rows(row, x)
-            assert y >> (len(pg.rows) * n) == 0
+            assert y >> (len(rows) * n) == 0
 
 
 def test_full_observer_step_rejects_unobservable():
-    # the kernel has rows for observable events only
+    # the packed rows hold observable events only
     des = load_fixture("fig5")
     pg = project(des)
     assert pg.event_names == ("a",)
-    assert len(pg.rows) == 1
+    assert all(y >> des.state_count == 0 for y in pg.packed)
 
 
 def test_product_step_to_sink():

@@ -22,7 +22,7 @@ from desopacity.automata import path_to, union_rows
 from desopacity.oracle import simulate_observation, validate_weak_witness, weak_violation_search
 from desopacity.weak import Verdict, VerifyStats, check_k
 
-from conftest import exhaustive_weak_bounds, random_det_instance, random_weak_instance
+from conftest import exhaustive_weak_bounds, oracle_rows, random_det_instance, random_weak_instance
 
 
 def _seeds(des):
@@ -304,10 +304,10 @@ def test_verify_weak_witnesses_validate_past_oracle_sizes():
 
 def _unpruned_search(des, k):
     """Reference for the pruned verifier: the same roots, taken without
-    subsumption, and the plain product BFS over the kernel rows.
+    subsumption, and the plain product BFS over the oracle's one-event rows.
     Returns (opaque, violation depth or None, product states explored)."""
-    pg = project(des)
-    obs = observer(pg)
+    obs = observer(project(des))
+    rows = oracle_rows(des)
     roots = {}
     for x in obs:
         for q in states_of(x & mask_of(des.secret)):
@@ -315,7 +315,7 @@ def _unpruned_search(des, k):
 
     def successors(vertex):
         q, z = vertex
-        for j, row in enumerate(pg.rows):
+        for j, row in enumerate(rows):
             for q2 in states_of(row[q]):
                 yield j, (q2, union_rows(row, z))
 
@@ -328,7 +328,9 @@ def _unpruned_search(des, k):
 
 def test_verify_weak_pruning_matches_unpruned_search():
     systems = [random_weak_instance(seed, n=4 + seed % 9) for seed in range(45)]  # n in 4..12
+    systems += [random_weak_instance(seed, n=13 + seed % 4) for seed in range(45, 65)]  # n in 13..16
     systems += [reduce_to_weak(random_det_instance(seed, n=6 + seed % 10))[1].des_prime for seed in range(30)]
+    systems += [reduce_to_weak(random_det_instance(seed, n=16 + seed % 5))[1].des_prime for seed in range(30, 50)]
     pruned_fewer = violations = 0
     for des in systems:
         for k in (0, 1, 2, 1000, INFINITE):
