@@ -255,7 +255,8 @@ def project(des: Des) -> Projection:
 def check_k(k: KBound) -> KBound:
     if k == math.inf:
         return INFINITE
-    if isinstance(k, int) and k >= 0:
+    # bool subclasses int, but True is not a step count
+    if isinstance(k, int) and not isinstance(k, bool) and k >= 0:
         return k
     raise ValueError("k must be a nonnegative integer or INFINITE")
 
@@ -332,16 +333,18 @@ def estimate_successors(pg: Projection) -> Callable:
     return successors
 
 
-def observer(pg: Projection) -> dict:
+def observer(pg: Projection, stop: Optional[Callable] = None) -> dict:
     """Subset construction over the projection's kernel, reachable part only.
 
     Maps each nonempty estimate (a mask) to its BFS parent link (parent
     estimate, event index), or None for the initial estimate, in discovery
     order.  So the initial estimate comes first, and ``path_to`` gives a
     shortest observation reaching an estimate, ties broken by event-table
-    order.  The empty estimate is never stored.
+    order.  The empty estimate is never stored.  If ``stop(x)`` holds for a
+    discovered estimate x, the search ends there: the map is the full
+    observer's discovery order up to and including x (``bounded_bfs``).
     """
-    return bounded_bfs(estimate_successors(pg), (pg.initial,), INFINITE)[0]
+    return bounded_bfs(estimate_successors(pg), (pg.initial,), INFINITE, stop)[0]
 
 
 def subsumed(masks, z: int) -> bool:

@@ -8,6 +8,14 @@ from a seed within k observable steps.  The search stops at the first such
 state it discovers.  The witness's observation and continuation are read
 off the observer's and the product's search maps by one walk, ``path_to``.
 
+The observer search itself ends at its first revealing estimate, one with
+a secret state and no nonsecret state.  Its map is then the full observer's
+discovery order up to that estimate, seeding over it ends at that
+estimate's revealing root as it would over the full map, and the product
+search stops at that root at once.  So only ``observer_states`` depends on
+the early stop: it counts the estimates discovered, up to and including the
+first revealing one.
+
 Both the seeds and the product search skip a pair (q, Z') once a pair
 (q, Z) with Z ⊆ Z' is kept.  The product step is monotone in the estimate,
 so any violation within j steps of (q, Z') is matched within j steps of
@@ -73,14 +81,16 @@ class Verdict:
 def compute_seeds(obs: dict, secret: int, nonsecret: int) -> dict:
     """Product roots: (secret state q, nonsecret estimate Z) -> estimate X.
 
-    One root per reachable estimate X (a key of the observer map ``obs``)
-    and secret state q in X, with Z = X & ``nonsecret`` (masks), unless an
+    One root per reachable estimate X (a key of the observer map ``obs``,
+    which may be a prefix stopped at the first revealing estimate) and
+    secret state q in X, with Z = X & ``nonsecret`` (masks), unless an
     earlier root (q, Y) has Y ⊆ Z.  Roots follow the observer's discovery
     order, so the estimate a root maps to has a shortest observation, ties
     broken by event-table order.  An estimate whose secret and nonsecret
     states equal an earlier one's gives the same roots, so it is skipped.
     The roots end at the first revealing one (q, 0), where the product
-    search stops.
+    search stops; it comes from the first revealing estimate, so a prefix
+    of ``obs`` that ends there gives the same roots as all of it.
     """
     seeds = {}
     admitted = {}  # q -> nonsecret masks of the roots with state q
@@ -117,9 +127,12 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
     each one with ``oracle.validate_weak_witness``.
     """
     k = check_k(k)
+    secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
     pg = project(des)
-    obs = observer(pg)
-    roots = compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret))
+    # a revealing estimate: no nonsecret state (tested first, as most
+    # estimates have one) and some secret state
+    obs = observer(pg, stop=lambda x: not x & nonsecret and x & secret)
+    roots = compute_seeds(obs, secret, nonsecret)
     marked, depth = bounded_bfs(product_successors(pg, roots), roots, k, stop=_revealing)
 
     n = des.state_count

@@ -1,5 +1,9 @@
+import importlib.util
+import json
 import math
+import sys
 from collections import deque
+from pathlib import Path
 
 from desopacity import INFINITE, Des, is_deterministic, mask_of
 from desopacity.oracle import GeneratorParams, OracleBounds, _event_adj, random_des, simulate_observation
@@ -31,6 +35,28 @@ def random_det_instance(seed, n=4, obs=2, unobs=1, density=0.8, secret=0.3):
         rng_seed=seed,
     )
     return random_des(params)
+
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+
+
+def pinned_pool(workload):
+    """The systems of one pool in the benchmark's ``pinned.json``, built by
+    the benchmark's own ``workloads.build_instance`` (both read-only)."""
+    workloads = sys.modules.get("benchmark_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCHMARK / "workloads.py")
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    entries = json.loads((BENCHMARK / "pinned.json").read_text())["workloads"][workload]
+    return [workloads.build_instance(entry) for entry in entries]
+
+
+def revealing_estimate(des):
+    """The observer's stop predicate in ``verify_weak``: an estimate with a
+    secret state and no nonsecret one."""
+    secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
+    return lambda x: bool(x & secret and not x & nonsecret)
 
 
 def oracle_rows(des):

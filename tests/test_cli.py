@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -12,8 +13,11 @@ from desopacity import (
     OracleBounds,
     cli,
     load_fixture,
+    make_events,
     normalize,
+    observer,
     parse_des,
+    project,
     reduce_to_weak,
     serialize_des,
     strong_to_weak,
@@ -22,6 +26,7 @@ from desopacity import (
 )
 from desopacity.cli import build_parser, run
 from desopacity.desfile import DesFormatError
+from desopacity.dot import observer_to_dot
 
 from conftest import random_det_instance, random_weak_instance
 
@@ -298,6 +303,31 @@ def test_cli_verify_weak_dot_export(tmp_path):
     assert code == 0
     assert (out_dir / "des.dot").read_text() == FIG2_DES_DOT
     assert (out_dir / "observer.dot").read_text() == FIG2_OBSERVER_DOT
+
+
+def test_cli_dot_draws_full_observer_when_verification_stops_early(tmp_path):
+    # the initial estimate {0} reveals, so verification stops the observer
+    # there; the DOT exports still draw all three estimates
+    des = Des(
+        state_count=3,
+        events=make_events(["a", "b"]),
+        transitions=frozenset({(0, 0, 1), (1, 1, 2), (2, 0, 0)}),
+        initial=frozenset({0}),
+        secret=frozenset({0}),
+        nonsecret=frozenset({1, 2}),
+    )
+    full = len(observer(project(des)))
+    assert full == 3
+    path = tmp_path / "reveals.des"
+    path.write_text(serialize_des(des))
+    code, out = invoke(["verify-weak", "--input", str(path), "--k", "0", "--stats", "--dot", str(tmp_path / "dots")])
+    assert code == 1 and "observer_states=1" in out.splitlines()
+    code, _ = invoke(["observer", "--input", str(path), "--dot", str(tmp_path / "obs.dot")])
+    assert code == 0
+    for dot_file in (tmp_path / "dots" / "observer.dot", tmp_path / "obs.dot"):
+        text = dot_file.read_text()
+        assert text == observer_to_dot(des)
+        assert len(re.findall(r"^  s\d+ \[", text, re.MULTILINE)) == full
 
 
 def test_cli_oracle_weak():

@@ -5,7 +5,9 @@ verdict depends on, so the verdict, the violation depth (the length of the
 witness's continuation) and the observer's size must not change either.
 The witness's observation may: ties between seeds are broken by state index.
 A system is weakly k-step opaque exactly for the k below its violation
-depth, so one run at k = inf decides every k.
+depth, so one run at k = inf decides every k.  The observer that
+``verify_weak`` stops at the first revealing estimate is a prefix of the
+full one, and gives the same seeds.
 """
 
 import random
@@ -13,10 +15,20 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desopacity import INFINITE, Des, verify_strong, verify_weak
+from desopacity import (
+    INFINITE,
+    Des,
+    compute_seeds,
+    mask_of,
+    observer,
+    project,
+    reduce_to_weak,
+    verify_strong,
+    verify_weak,
+)
 from desopacity.oracle import validate_weak_witness
 
-from conftest import random_det_instance, random_weak_instance
+from conftest import random_det_instance, random_weak_instance, revealing_estimate
 
 KS = st.sampled_from([0, 1, 3, INFINITE])
 SEEDS = st.integers(0, 10 ** 6)
@@ -111,3 +123,28 @@ def test_strong_opacity_implies_weak_opacity(seed, n, k):
     des = random_det_instance(seed, n=n)
     if verify_strong(des, k).opaque:
         assert verify_weak(des, k).opaque
+
+
+def _check_stopped_observer(des):
+    pg = project(des)
+    reveals = revealing_estimate(des)
+    full = list(observer(pg).items())
+    stopped = list(observer(pg, stop=reveals).items())
+    first = next((i for i, (x, _link) in enumerate(full) if reveals(x)), None)
+    assert stopped == full[: len(full) if first is None else first + 1]
+    secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
+    seeds = list(compute_seeds(dict(stopped), secret, nonsecret).items())
+    assert seeds == list(compute_seeds(dict(full), secret, nonsecret).items())
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(SEEDS, st.integers(6, 16))
+def test_stopped_observer_is_prefix_with_same_seeds_weak(seed, n):
+    _check_stopped_observer(random_weak_instance(seed, n=n))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(SEEDS, st.integers(8, 20))
+def test_stopped_observer_is_prefix_with_same_seeds_reduced(seed, n):
+    # G' of a deterministic system, as verify_strong builds it
+    _check_stopped_observer(reduce_to_weak(random_det_instance(seed, n=n))[1].des_prime)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import deque
 
@@ -18,11 +19,19 @@ from desopacity import (
     states_of,
     verify_weak,
 )
+from desopacity import weak
 from desopacity.automata import path_to, union_rows
 from desopacity.oracle import simulate_observation, validate_weak_witness, weak_violation_search
 from desopacity.weak import Verdict, VerifyStats, check_k
 
-from conftest import exhaustive_weak_bounds, oracle_rows, random_det_instance, random_weak_instance
+from conftest import (
+    exhaustive_weak_bounds,
+    oracle_rows,
+    pinned_pool,
+    random_det_instance,
+    random_weak_instance,
+    revealing_estimate,
+)
 
 
 def _seeds(des):
@@ -43,6 +52,15 @@ def test_check_k():
         check_k(-1)
     with pytest.raises(ValueError):
         check_k(1.5)
+
+
+def test_check_k_rejects_bools():
+    # bool subclasses int; True must not pass as k = 1
+    for k in (True, False):
+        with pytest.raises(ValueError):
+            check_k(k)
+        with pytest.raises(ValueError):
+            verify_weak(load_fixture("fig1"), k)
 
 
 def test_compute_seeds_fig1():
@@ -255,8 +273,6 @@ def test_verify_weak_fig5():
 
 def test_verify_weak_no_secret_states():
     des = load_fixture("fig5")
-    import dataclasses
-
     stripped = dataclasses.replace(des, secret=frozenset(), nonsecret=frozenset({0, 1, 2, 3}))
     for k in (0, 3, INFINITE):
         assert verify_weak(stripped, k).opaque
@@ -344,6 +360,31 @@ def test_verify_weak_pruning_matches_unpruned_search():
                 assert v.stats.bfs_depth_reached == depth
                 assert validate_weak_witness(des, k, v.witness)
     assert pruned_fewer > 0 and violations > 0
+
+
+def test_verify_weak_matches_full_observer_reference(monkeypatch):
+    # the reference is verify_weak with the observer built in full; only
+    # observer_states may differ, and it counts the estimates up to and
+    # including the first revealing one
+    systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
+    systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
+    stopped_early = 0
+    for des in systems:
+        full = observer(project(des))
+        reveals = revealing_estimate(des)
+        first = next((i for i, x in enumerate(full) if reveals(x)), None)
+        expected_states = len(full) if first is None else first + 1
+        stopped_early += expected_states < len(full)
+        for k in (0, 1, 1000, INFINITE):
+            v = verify_weak(des, k)
+            with monkeypatch.context() as m:
+                m.setattr(weak, "observer", lambda pg, stop=None: observer(pg))
+                ref = verify_weak(des, k)
+            assert ref.stats.observer_states == len(full)
+            assert v.stats.observer_states == expected_states
+            assert (v.opaque, v.witness) == (ref.opaque, ref.witness)
+            assert v.stats == dataclasses.replace(ref.stats, observer_states=expected_states)
+    assert stopped_early >= 30
 
 
 def test_verify_weak_monotone_in_k():
