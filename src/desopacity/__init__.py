@@ -7,6 +7,7 @@ from .automata import (
     Event,
     EventTable,
     Projection,
+    Subsumption,
     accessible,
     is_deterministic,
     make_events,
@@ -15,6 +16,7 @@ from .automata import (
     product_successors,
     project,
     states_of,
+    universal,
 )
 from .desfile import DesFormatError, parse_des, serialize_des
 from .oracle import (

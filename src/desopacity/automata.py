@@ -347,6 +347,31 @@ def observer(pg: Projection, stop: Optional[Callable] = None) -> dict:
     return bounded_bfs(estimate_successors(pg), (pg.initial,), INFINITE, stop)[0]
 
 
+def universal(pg: Projection) -> int:
+    """The mask of the projection's universal states: the greatest set U in
+    which every state has, on every observable event, a successor in U.
+
+    A universal state can follow every observation, so it simulates every
+    state.  States are dropped, reading each event's slice of
+    ``pg.packed[q]``, until none is dropped; with no observable event every
+    state is universal.
+    """
+    n = pg.state_count
+    offsets = range(0, n * len(pg.event_names), n)
+    kept = (1 << n) - 1
+    dropped = True
+    while dropped:
+        dropped = False
+        for q in states_of(kept):
+            row = pg.packed[q]
+            for offset in offsets:
+                if not (row >> offset) & kept:
+                    kept ^= 1 << q
+                    dropped = True
+                    break
+    return kept
+
+
 def subsumed(masks, z: int) -> bool:
     """Whether some mask in ``masks`` is a subset of ``z``."""
     for y in masks:
@@ -355,9 +380,51 @@ def subsumed(masks, z: int) -> bool:
     return False
 
 
-def product_successors(pg: Projection, seeds: Iterable) -> Callable:
+class Subsumption:
+    """The pairs (q, Z) that one product search has kept, seeds first, and
+    the rules that skip a pair which a kept one subsumes.
+
+    With U the projection's ``universal`` states, (q, Z) is skipped when
+    (a) Z holds a state of U, (b) a kept (p, Y) with p in U has Y ⊆ Z, or,
+    the same-state rule, a kept (q, Y) has Y ⊆ Z.  ``weak.py`` states why
+    this is sound.
+    """
+
+    def __init__(self, universal: int):
+        self.universal = universal
+        self.seen = set()  # pairs kept or found subsumed
+        self.by_state = {}  # q not in U -> estimates of the kept pairs (q, Y)
+        self.dominating = []  # estimates of the kept pairs (p, Y) with p in U
+
+    def admit(self, states: int, z: int):
+        """Yield, in ascending order, each state q of the mask ``states`` whose
+        pair (q, z) is kept, keeping it.  Rules (a) and (b) do not depend on
+        q, so they are tested once, before any state is read off the mask;
+        once a universal q is kept, rule (b) skips the rest."""
+        universal = self.universal
+        if z & universal or subsumed(self.dominating, z):
+            return
+        seen = self.seen
+        while states:
+            low = states & -states
+            states ^= low
+            q = low.bit_length() - 1
+            if (q, z) in seen:
+                continue
+            seen.add((q, z))
+            if universal & low:
+                self.dominating.append(z)
+                yield q
+                return
+            masks = self.by_state.setdefault(q, [])
+            if not subsumed(masks, z):
+                masks.append(z)
+                yield q
+
+
+def product_successors(pg: Projection, kept: Subsumption) -> Callable:
     """Successor function of the product of the projection with its full
-    observer, pruned by subsumption for one search from ``seeds``.
+    observer, pruned by subsumption for one search whose seeds ``kept`` holds.
 
     A vertex is (q, Z): a state and an estimate mask.  On event j it moves
     to (q', Z') for every q' in event j's slice of ``pg.packed[q]``, where
@@ -366,23 +433,21 @@ def product_successors(pg: Projection, seeds: Iterable) -> Callable:
     Each distinct Z is stepped once, and a state's targets are read off its
     packed row when the search first expands it.
 
-    It keeps, per state q, the masks of the vertices admitted so far, the
-    seeds first, and yields only a vertex (q, Z') that no admitted (q, Z)
-    with Z ⊆ Z' subsumes, admitting it; ``weak.py`` states why this is
-    sound.  Being stateful, the function serves one search.
+    It yields only the vertices that ``kept`` admits, and keeps them: none
+    when Z' holds a universal state (rule (a)) or a kept (p, Y) with p
+    universal has Y ⊆ Z' (rule (b)), both tested once per event slice, and
+    no (q', Z') after a kept (q', Y) with Y ⊆ Z' (the same-state rule);
+    ``weak.py`` states why this is sound.  Being stateful, the function
+    serves one search.
     """
     packed = pg.packed
     step = pg.step
     n = pg.state_count
     full = (1 << n) - 1
     offsets = range(0, n * len(pg.event_names), n)
+    admit = kept.admit
     stepped = {}
-    targets = {}  # q -> (event, target states) pairs, one per nonempty event
-    seen = set()  # vertices admitted or found subsumed
-    admitted = {}  # q -> masks of the admitted vertices with state q
-    for q, z in seeds:
-        seen.add((q, z))
-        admitted.setdefault(q, []).append(z)
+    targets = {}  # q -> (event, target mask) pairs, one per nonempty event
 
     def slices(y):
         return tuple((y >> offset) & full for offset in offsets)
@@ -394,18 +459,11 @@ def product_successors(pg: Projection, seeds: Iterable) -> Callable:
             z_next = stepped[z] = slices(step(z))
         moves = targets.get(q)
         if moves is None:
-            moves = targets[q] = tuple((j, states_of(t)) for j, t in enumerate(slices(packed[q])) if t)
+            moves = targets[q] = tuple((j, t) for j, t in enumerate(slices(packed[q])) if t)
         for j, states in moves:
             z2 = z_next[j]
-            for q2 in states:
-                v = (q2, z2)
-                if v in seen:
-                    continue
-                seen.add(v)
-                masks = admitted.setdefault(q2, [])
-                if not subsumed(masks, z2):
-                    masks.append(z2)
-                    yield j, v
+            for q2 in admit(states, z2):
+                yield j, (q2, z2)
 
     return successors
 

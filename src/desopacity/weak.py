@@ -16,12 +16,25 @@ search stops at that root at once.  So only ``observer_states`` depends on
 the early stop: it counts the estimates discovered, up to and including the
 first revealing one.
 
-Both the seeds and the product search skip a pair (q, Z') once a pair
-(q, Z) with Z ⊆ Z' is kept.  The product step is monotone in the estimate,
-so any violation within j steps of (q, Z') is matched within j steps of
-(q, Z), and the breadth-first order keeps (q, Z) no later than (q, Z').
-So the verdict and the violation depth are those of the unpruned search
-at every k, and fewer product states are explored.
+Both the seeds and the product search skip pairs through one
+``Subsumption``.  With U the projection's universal states, those that can
+follow every observation, a pair (q, Z') is skipped when
+
+- (a) Z' holds a state of U: every step of Z' then holds one too, so the
+  estimate never becomes empty and (q, Z') never reveals;
+- (b) a pair (p, Z) with p in U and Z ⊆ Z' is kept: p can follow any
+  observation that q makes;
+- or a pair (q, Z) with Z ⊆ Z' is kept (the same-state rule).
+
+The order "(p = q or p in U) and Z ⊆ Z'" is a simulation on the product:
+each move of (q, Z') on an event is matched by a move of (p, Z) to a pair
+below it, because the step is monotone in the estimate, and an empty Z'
+forces an empty Z.  So any violation within j steps of (q, Z') is matched
+within j steps of (p, Z), and the breadth-first order keeps (p, Z) no later
+than (q, Z').  Rule (a) does not change the discovery order of the kept
+pairs either, as a pair whose estimate holds a state of U has only such
+successors.  So the verdict and the violation depth are those of the
+unpruned search at every k, and fewer product states are explored.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from .automata import (  # noqa: F401
     INFINITE,
     Des,
     KBound,
+    Subsumption,
     bounded_bfs,
     check_k,
     mask_of,
@@ -41,8 +55,7 @@ from .automata import (  # noqa: F401
     path_to,
     product_successors,
     project,
-    states_of,
-    subsumed,
+    universal,
 )
 
 
@@ -78,22 +91,25 @@ class Verdict:
             raise ValueError("witness must be present exactly when not opaque")
 
 
-def compute_seeds(obs: dict, secret: int, nonsecret: int) -> dict:
+def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> dict:
     """Product roots: (secret state q, nonsecret estimate Z) -> estimate X.
 
     One root per reachable estimate X (a key of the observer map ``obs``,
     which may be a prefix stopped at the first revealing estimate) and
-    secret state q in X, with Z = X & ``nonsecret`` (masks), unless an
-    earlier root (q, Y) has Y ⊆ Z.  Roots follow the observer's discovery
-    order, so the estimate a root maps to has a shortest observation, ties
-    broken by event-table order.  An estimate whose secret and nonsecret
-    states equal an earlier one's gives the same roots, so it is skipped.
-    The roots end at the first revealing one (q, 0), where the product
-    search stops; it comes from the first revealing estimate, so a prefix
-    of ``obs`` that ends there gives the same roots as all of it.
+    secret state q in X, with Z = X & ``nonsecret`` (masks), unless ``kept``
+    skips it; ``kept`` keeps each root for the product search.  Rule (a),
+    Z holds a universal state, and rule (b), an earlier root (p, Y) with p
+    universal has Y ⊆ Z, do not depend on q, so they are tested once per
+    estimate; the same-state rule skips (q, Z) after an earlier root (q, Y)
+    with Y ⊆ Z.  Roots follow the observer's discovery order, so the
+    estimate a root maps to has a shortest observation, ties broken by
+    event-table order.  An estimate whose secret and nonsecret states equal
+    an earlier one's gives the same roots, so it is skipped.  The roots end
+    at the first revealing one (q, 0), where the product search stops; it
+    comes from the first revealing estimate, so a prefix of ``obs`` that
+    ends there gives the same roots as all of it.
     """
     seeds = {}
-    admitted = {}  # q -> nonsecret masks of the roots with state q
     harvested = set()  # X & (secret | nonsecret) of the estimates seen
     marked = secret | nonsecret
     for x in obs:
@@ -103,15 +119,10 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int) -> dict:
             continue
         harvested.add(key)
         z = x & nonsecret
-        for q in states_of(secrets):
-            if (q, z) in seeds:
-                continue
-            masks = admitted.setdefault(q, [])
-            if not subsumed(masks, z):
-                masks.append(z)
-                seeds[(q, z)] = x
-                if not z:
-                    return seeds
+        for q in kept.admit(secrets, z):
+            seeds[(q, z)] = x
+            if not z:
+                return seeds
     return seeds
 
 
@@ -132,8 +143,9 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
     # a revealing estimate: no nonsecret state (tested first, as most
     # estimates have one) and some secret state
     obs = observer(pg, stop=lambda x: not x & nonsecret and x & secret)
-    roots = compute_seeds(obs, secret, nonsecret)
-    marked, depth = bounded_bfs(product_successors(pg, roots), roots, k, stop=_revealing)
+    kept = Subsumption(universal(pg))
+    roots = compute_seeds(obs, secret, nonsecret, kept)
+    marked, depth = bounded_bfs(product_successors(pg, kept), roots, k, stop=_revealing)
 
     n = des.state_count
     assert len(marked) <= n * 2 ** n, "product exploration exceeded the n*2^n bound"

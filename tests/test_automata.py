@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from desopacity import (
     Des,
+    Subsumption,
     accessible,
     is_deterministic,
     load_fixture,
@@ -13,6 +16,7 @@ from desopacity import (
     product_successors,
     project,
     states_of,
+    universal,
 )
 from desopacity.automata import path_to, union_rows
 from desopacity.oracle import simulate_observation
@@ -223,20 +227,115 @@ def test_full_observer_step_rejects_unobservable():
     assert all(y >> des.state_count == 0 for y in pg.packed)
 
 
+def _never_empties(des, q):
+    """Whether no observation empties the estimate {q}: a subset search from
+    {q} through the oracle's simulation, one observable event at a time."""
+    names = [e.name for e in des.events.entries if e.observable]
+    seen = {frozenset({q})}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for name in names:
+            y = frozenset(simulate_observation(des, x, [name]))
+            if not y:
+                return False
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return True
+
+
+def _greatest_closed_set(rows, n):
+    """The greatest set of states that each have, in every row, a successor
+    in the set."""
+    kept = mask_of(range(n))
+    while True:
+        closed = mask_of(q for q in states_of(kept) if all(row[q] & kept for row in rows))
+        if closed == kept:
+            return kept
+        kept = closed
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 10 ** 6),
+    st.integers(1, 10),
+    st.integers(0, 3),
+    st.integers(0, 1),
+    st.floats(0.5, 2.0),
+)
+def test_universal_matches_oracle_references(seed, n, obs, unobs, density):
+    assume(obs + unobs > 0)
+    des = random_weak_instance(seed, n=n, obs=obs, unobs=unobs, density=density)
+    u = universal(project(des))
+    rows = oracle_rows(des)
+    never_empties = mask_of(q for q in range(n) if _never_empties(des, q))
+    # rule (a)'s premise: no observation empties an estimate that holds a
+    # universal state
+    assert not u & ~never_empties
+    assert u == _greatest_closed_set(rows, n)
+    # the converse needs a deterministic projection (see the pinned case below)
+    if all(not row[q] & (row[q] - 1) for row in rows for q in range(n)):
+        assert u == never_empties
+
+
+def test_universal_without_observable_events():
+    des = Des(
+        state_count=3,
+        events=make_events(unobservable=["u"]),
+        transitions=frozenset({(0, 0, 1)}),
+        initial=frozenset({0}),
+    )
+    assert universal(project(des)) == mask_of({0, 1, 2})
+
+
+def test_universal_drops_dead_end_and_states_that_must_reach_it():
+    # "3" has no move; "4" moves only to "3"; "0" -a-> "1" loops, "2" -a-> "0"
+    des = Des(
+        state_count=5,
+        events=make_events(["a"]),
+        transitions=frozenset({(0, 0, 1), (1, 0, 1), (2, 0, 0), (4, 0, 3)}),
+        initial=frozenset({0}),
+    )
+    assert universal(project(des)) == mask_of({0, 1, 2})
+
+
+def test_universal_is_not_language_universality():
+    # no observation empties {"0"}: "0" -a-> {"1","2"}, where "1" follows a
+    # and "2" follows b into the universal "3".  But neither "1" nor "2"
+    # follows both events, so "0" simulates no universal state
+    des = Des(
+        state_count=4,
+        events=make_events(["a", "b"]),
+        transitions=frozenset({(0, 0, 1), (0, 0, 2), (0, 1, 3), (1, 0, 3), (2, 1, 3), (3, 0, 3), (3, 1, 3)}),
+        initial=frozenset({0}),
+    )
+    assert _never_empties(des, 0)
+    assert universal(project(des)) == mask_of({3})
+
+
+def _product(pg, seeds):
+    """The product's successor function for one search from ``seeds``."""
+    kept = Subsumption(universal(pg))
+    for q, z in seeds:
+        assert list(kept.admit(1 << q, z)) == [q]
+    return product_successors(pg, kept)
+
+
 def test_product_step_to_sink():
     pg = project(load_fixture("fig1"))
     b = pg.event_names.index("b")
     seed = (1, mask_of({3}))
-    assert [v for j, v in product_successors(pg, [seed])(seed) if j == b] == [(2, 0)]  # (2,{4}) on b
+    assert [v for j, v in _product(pg, [seed])(seed) if j == b] == [(2, 0)]  # (2,{4}) on b
     # the empty estimate absorbs every event
-    assert all(z == 0 for _j, (_q, z) in product_successors(pg, [(0, 0)])((0, 0)))
+    assert all(z == 0 for _j, (_q, z) in _product(pg, [(0, 0)])((0, 0)))
 
 
 def test_product_step_empty():
     pg = project(load_fixture("fig1"))
     b = pg.event_names.index("b")
     seed = (3, mask_of({0}))
-    assert [v for j, v in product_successors(pg, [seed])(seed) if j == b] == []  # dead end
+    assert [v for j, v in _product(pg, [seed])(seed) if j == b] == []  # dead end
 
 
 def test_product_step_requires_projected_input():
@@ -245,10 +344,10 @@ def test_product_step_requires_projected_input():
     des = load_fixture("fig5")  # "1" -a-> "2" -u-> "3"
     seed = (0, mask_of({0}))
     both = mask_of({1, 2})
-    assert list(product_successors(project(des), [seed])(seed)) == [(0, (1, both)), (0, (2, both))]
+    assert list(_product(project(des), [seed])(seed)) == [(0, (1, both)), (0, (2, both))]
     # a successor subsumed by a vertex already admitted, here the seed
     # ("2", {"2"}) with {"2"} a subset of {"2","3"}, is not yielded
-    successors = product_successors(project(des), [seed, (1, mask_of({1}))])
+    successors = _product(project(des), [seed, (1, mask_of({1}))])
     assert list(successors(seed)) == [(0, (2, both))]
 
 

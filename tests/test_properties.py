@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 from desopacity import (
     INFINITE,
     Des,
+    Subsumption,
     compute_seeds,
     mask_of,
     observer,
     project,
     reduce_to_weak,
+    universal,
     verify_strong,
     verify_weak,
 )
@@ -132,9 +134,9 @@ def _check_stopped_observer(des):
     stopped = list(observer(pg, stop=reveals).items())
     first = next((i for i, (x, _link) in enumerate(full) if reveals(x)), None)
     assert stopped == full[: len(full) if first is None else first + 1]
-    secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
-    seeds = list(compute_seeds(dict(stopped), secret, nonsecret).items())
-    assert seeds == list(compute_seeds(dict(full), secret, nonsecret).items())
+    secret, nonsecret, u = mask_of(des.secret), mask_of(des.nonsecret), universal(pg)
+    seeds = list(compute_seeds(dict(stopped), secret, nonsecret, Subsumption(u)).items())
+    assert seeds == list(compute_seeds(dict(full), secret, nonsecret, Subsumption(u)).items())
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from desopacity import (
     INFINITE,
     Des,
+    Subsumption,
     Witness,
     bounded_bfs,
     compute_seeds,
@@ -17,6 +18,7 @@ from desopacity import (
     project,
     reduce_to_weak,
     states_of,
+    universal,
     verify_weak,
 )
 from desopacity import weak
@@ -34,9 +36,10 @@ from conftest import (
 )
 
 
-def _seeds(des):
-    obs = observer(project(des))
-    return obs, compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret))
+def _seeds(des, obs=None):
+    pg = project(des)
+    obs = observer(pg) if obs is None else obs
+    return obs, compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret), Subsumption(universal(pg)))
 
 
 def _observation(des, obs, x):
@@ -83,8 +86,8 @@ def test_compute_seeds_fig2():
 
 def test_compute_seeds_no_secret():
     des = load_fixture("fig5")
-    obs = observer(project(des))
-    assert compute_seeds(obs, 0, mask_of(des.nonsecret)) == {}
+    pg = project(des)
+    assert compute_seeds(observer(pg), 0, mask_of(des.nonsecret), Subsumption(universal(pg))) == {}
 
 
 def test_compute_seeds_drops_subsumed_seed():
@@ -123,7 +126,7 @@ def test_compute_seeds_stops_at_first_revealing_seed():
             consumed.append(x)
             yield x
 
-    seeds = compute_seeds(walk(), mask_of(des.secret), mask_of(des.nonsecret))
+    _obs, seeds = _seeds(des, walk())
     assert seeds == {(1, 0): mask_of({1})}
     assert consumed[-1] == mask_of({1}) and len(consumed) < len(obs)
 
@@ -329,11 +332,15 @@ def _unpruned_search(des, k):
         for q in states_of(x & mask_of(des.secret)):
             roots.setdefault((q, x & mask_of(des.nonsecret)), x)
 
+    stepped = {}
+
     def successors(vertex):
         q, z = vertex
-        for j, row in enumerate(rows):
+        if z not in stepped:
+            stepped[z] = [union_rows(row, z) for row in rows]
+        for j, (row, z2) in enumerate(zip(rows, stepped[z])):
             for q2 in states_of(row[q]):
-                yield j, (q2, union_rows(row, z))
+                yield j, (q2, z2)
 
     marked, depth = bounded_bfs(successors, roots, k, stop=lambda v: not v[1])
     last = next(reversed(marked), None)
@@ -360,6 +367,27 @@ def test_verify_weak_pruning_matches_unpruned_search():
                 assert v.stats.bfs_depth_reached == depth
                 assert validate_weak_witness(des, k, v.witness)
     assert pruned_fewer > 0 and violations > 0
+
+
+def test_universal_pruning_keeps_verdicts_on_fixtures_and_pools():
+    # the strong pool is reduced as verify_strong reduces it; its product
+    # counted 25,067 states over these k under the same-state rule alone
+    systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
+    systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
+    reduced = [reduce_to_weak(des)[1].des_prime for des in pinned_pool("strong_reduction")]
+    explored = []
+    for des in systems + reduced:
+        # a breadth-first search reaches its first violation at the least
+        # violation depth, so the unpruned run at k = inf decides every k
+        opaque, depth, _explored = _unpruned_search(des, INFINITE)
+        for k in (0, 1, 1000, INFINITE):
+            v = verify_weak(des, k)
+            assert v.opaque == (opaque or depth > k)
+            if not v.opaque:
+                assert v.stats.bfs_depth_reached == depth
+                assert validate_weak_witness(des, k, v.witness)
+            explored.append(v.stats.product_states_explored)
+    assert sum(explored[-4 * len(reduced):]) <= 2500
 
 
 def test_verify_weak_matches_full_observer_reference(monkeypatch):
