@@ -14,7 +14,8 @@ observable event, event j's at bit offset j·n for n states.  The step
 kernel tables, for each block of 8 states, the union of their packed rows
 over all 256 subsets of the block, so stepping an estimate ORs one lookup
 per 8 states and reads each event's successor off with a shift and a mask.
-The observer, the product and the DOT export step through this kernel.
+The observer, the product and the DOT export step through this kernel,
+and the product steps each pair it expands once.
 The observer and the product are both searched by ``bounded_bfs``, and
 ``path_to`` reads a path off either search.
 """
@@ -392,7 +393,6 @@ class Subsumption:
 
     def __init__(self, universal: int):
         self.universal = universal
-        self.seen = set()  # pairs kept or found subsumed
         self.by_state = {}  # q not in U -> estimates of the kept pairs (q, Y)
         self.dominating = []  # estimates of the kept pairs (p, Y) with p in U
 
@@ -400,18 +400,16 @@ class Subsumption:
         """Yield, in ascending order, each state q of the mask ``states`` whose
         pair (q, z) is kept, keeping it.  Rules (a) and (b) do not depend on
         q, so they are tested once, before any state is read off the mask;
-        once a universal q is kept, rule (b) skips the rest."""
+        once a universal q is kept, rule (b) skips the rest.  An exact
+        repeat (q, z) is never yielded: the same-state rule skips it, as
+        z ⊆ z, or, for a universal q, rule (b), as z is then dominating."""
         universal = self.universal
         if z & universal or subsumed(self.dominating, z):
             return
-        seen = self.seen
         while states:
             low = states & -states
             states ^= low
             q = low.bit_length() - 1
-            if (q, z) in seen:
-                continue
-            seen.add((q, z))
             if universal & low:
                 self.dominating.append(z)
                 yield q
@@ -430,8 +428,8 @@ def product_successors(pg: Projection, kept: Subsumption) -> Callable:
     to (q', Z') for every q' in event j's slice of ``pg.packed[q]``, where
     Z' is event j's slice of ``pg.step(Z)``, as (j, vertex) pairs in event
     order and then state order.  Z = 0 is the empty estimate and stays 0.
-    Each distinct Z is stepped once, and a state's targets are read off its
-    packed row when the search first expands it.
+    Each expanded vertex is stepped once, and each event's targets and Z'
+    are read off ``pg.packed[q]`` and the step with a shift and a mask.
 
     It yields only the vertices that ``kept`` admits, and keeps them: none
     when Z' holds a universal state (rule (a)) or a kept (p, Y) with p
@@ -444,26 +442,22 @@ def product_successors(pg: Projection, kept: Subsumption) -> Callable:
     step = pg.step
     n = pg.state_count
     full = (1 << n) - 1
-    offsets = range(0, n * len(pg.event_names), n)
     admit = kept.admit
-    stepped = {}
-    targets = {}  # q -> (event, target mask) pairs, one per nonempty event
-
-    def slices(y):
-        return tuple((y >> offset) & full for offset in offsets)
 
     def successors(vertex):
         q, z = vertex
-        z_next = stepped.get(z)
-        if z_next is None:
-            z_next = stepped[z] = slices(step(z))
-        moves = targets.get(q)
-        if moves is None:
-            moves = targets[q] = tuple((j, t) for j, t in enumerate(slices(packed[q])) if t)
-        for j, states in moves:
-            z2 = z_next[j]
-            for q2 in admit(states, z2):
-                yield j, (q2, z2)
+        row = packed[q]
+        y = step(z)
+        j = 0
+        while row:
+            states = row & full
+            if states:
+                z2 = y & full
+                for q2 in admit(states, z2):
+                    yield j, (q2, z2)
+            row >>= n
+            y >>= n
+            j += 1
 
     return successors
 

@@ -67,6 +67,54 @@ def oracle_rows(des):
     return [[mask_of(simulate_observation(des, {q}, [name])) for q in range(des.state_count)] for name in names]
 
 
+def two_way_violation_depth(des):
+    """The least k at which ``des`` is not weakly k-step opaque, or None if it
+    is weakly k-step opaque at every k: the two-way observer of Yin and
+    Lafortune (Automatica 80, 2017), on ``oracle_rows``.
+
+    X ranges over the forward estimates, one per observation mu; Y_nu is the
+    set of states from which the continuation nu can be observed, found by a
+    backward subset search from all states (Y of the empty nu), level by
+    level in |nu|.  A violation at depth |nu| is a pair with X ∩ Y_nu holding
+    a secret state and no nonsecret one.  Shares no code with ``project``,
+    ``observer`` or the product search.
+    """
+    rows = oracle_rows(des)
+    secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
+
+    def image(row, x):
+        out = 0
+        for q, targets in enumerate(row):
+            if x >> q & 1:
+                out |= targets
+        return out
+
+    start = mask_of(simulate_observation(des, des.initial, ()))
+    estimates, stack = {start}, [start]
+    while stack:
+        x = stack.pop()
+        for row in rows:
+            x2 = image(row, x)
+            if x2 and x2 not in estimates:
+                estimates.add(x2)
+                stack.append(x2)
+    parts = {(x & secret, x & nonsecret) for x in estimates}
+    everything = (1 << des.state_count) - 1
+    level, reached, depth = [everything], {everything}, 0
+    while level:
+        if any(s & y and not ns & y for y in level for s, ns in parts):
+            return depth
+        following = []
+        for y in level:
+            for row in rows:
+                y2 = mask_of(q for q, targets in enumerate(row) if targets & y)
+                if y2 and y2 not in reached:
+                    reached.add(y2)
+                    following.append(y2)
+        level, depth = following, depth + 1
+    return None
+
+
 def exhaustive_weak_bounds(des, k):
     # estimates repeat after 2^n observations; continuation pairs after 4^n
     n = des.state_count

@@ -5,9 +5,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from desopacity import (
+    INFINITE,
     Des,
     Subsumption,
     accessible,
+    bounded_bfs,
+    compute_seeds,
     is_deterministic,
     load_fixture,
     make_events,
@@ -15,6 +18,7 @@ from desopacity import (
     observer,
     product_successors,
     project,
+    reduce_to_weak,
     states_of,
     universal,
 )
@@ -349,6 +353,66 @@ def test_product_step_requires_projected_input():
     # ("2", {"2"}) with {"2"} a subset of {"2","3"}, is not yielded
     successors = _product(project(des), [seed, (1, mask_of({1}))])
     assert list(successors(seed)) == [(0, (2, both))]
+
+
+def test_admit_never_yields_an_exact_repeat():
+    y, z = mask_of({0}), mask_of({0, 1})
+    kept = Subsumption(universal=mask_of({3}))
+    assert list(kept.admit(mask_of({2}), y)) == [2]
+    assert list(kept.admit(mask_of({2}), z)) == []  # (2, y) subsumes it
+    for _ in range(2):
+        assert list(kept.admit(mask_of({2}), y)) == []  # kept before
+        assert list(kept.admit(mask_of({2}), z)) == []  # found subsumed before
+    assert list(kept.admit(mask_of({1, 3}), y)) == [1, 3]  # 3 is universal
+    assert list(kept.admit(mask_of({3}), y)) == []
+    assert list(kept.admit(mask_of({1}), y)) == []
+
+
+def _oracle_row_successors(rows, kept):
+    """The product's successor function, stepping Z through each event's
+    oracle row by itself and admitting through ``kept``."""
+
+    def successors(vertex):
+        q, z = vertex
+        for j, row in enumerate(rows):
+            z2 = union_rows(row, z)
+            for q2 in kept.admit(row[q], z2):
+                yield j, (q2, z2)
+
+    return successors
+
+
+def _recorded(successors, log):
+    def wrapped(vertex):
+        for j, w in successors(vertex):
+            log.append((vertex, j, w))
+            yield j, w
+
+    return wrapped
+
+
+def test_product_successors_match_oracle_row_reference():
+    # both sides admit through their own Subsumption, seeded alike, and the
+    # search runs to exhaustion, so every admitted pair is expanded
+    systems = [random_weak_instance(seed, n=4 + seed % 13, density=1.0) for seed in range(120)]  # n in 4..16
+    systems += [reduce_to_weak(random_det_instance(seed, n=6 + seed % 15))[1].des_prime for seed in range(60)]
+    traffic = 0
+    for des in systems:
+        pg = project(des)
+        rows = oracle_rows(des)
+        secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
+        logs = []
+        for build in (lambda kept: product_successors(pg, kept), lambda kept: _oracle_row_successors(rows, kept)):
+            kept = Subsumption(universal(pg))
+            seeds = compute_seeds(observer(pg), secret, nonsecret, kept)
+            log = []
+            bounded_bfs(_recorded(build(kept), log), seeds, INFINITE)
+            logs.append(log)
+            yielded = list(seeds) + [w for _v, _j, w in log]
+            assert len(set(yielded)) == len(yielded)
+        assert logs[0] == logs[1]
+        traffic += len(logs[0])
+    assert traffic > 500
 
 
 def test_accessible_drops_isolated_state():

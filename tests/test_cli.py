@@ -418,6 +418,16 @@ def test_cli_error_paths(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("usage: desopacity")
 
 
+@pytest.mark.parametrize("k", ["1_0", "+1", " 1", "١", ""])  # U+0661 is ARABIC-INDIC DIGIT ONE
+def test_cli_k_accepts_only_ascii_digits_or_inf(k, capsys):
+    # int() takes the first four, as 10, 1, 1 and 1; --k-list 0, once
+    # dropped its empty k
+    fig1 = fixture_path("fig1")
+    for argv in (["verify-weak", "--input", fig1, "--k", k], ["bench", "--input", fig1, "--k-list", f"0,{k}"]):
+        assert invoke(argv) == (2, ""), argv
+        assert capsys.readouterr().err == f"error: invalid k: {k!r} (expected a nonnegative integer or 'inf')\n"
+
+
 def test_cli_main_exits_with_run_code(monkeypatch):
     monkeypatch.setattr("sys.argv", ["desopacity", "verify-weak", "--input", "/does/not/exist", "--k", "1"])
     with pytest.raises(SystemExit) as exc:

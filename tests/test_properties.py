@@ -5,9 +5,10 @@ verdict depends on, so the verdict, the violation depth (the length of the
 witness's continuation) and the observer's size must not change either.
 The witness's observation may: ties between seeds are broken by state index.
 A system is weakly k-step opaque exactly for the k below its violation
-depth, so one run at k = inf decides every k.  The observer that
-``verify_weak`` stops at the first revealing estimate is a prefix of the
-full one, and gives the same seeds.
+depth, so one run at k = inf decides every k, and that depth equals the
+two-way observer's, a check independent of the product search.  The
+observer that ``verify_weak`` stops at the first revealing estimate is a
+prefix of the full one, and gives the same seeds.
 """
 
 import random
@@ -30,7 +31,7 @@ from desopacity import (
 )
 from desopacity.oracle import validate_weak_witness
 
-from conftest import random_det_instance, random_weak_instance, revealing_estimate
+from conftest import random_det_instance, random_weak_instance, revealing_estimate, two_way_violation_depth
 
 KS = st.sampled_from([0, 1, 3, INFINITE])
 SEEDS = st.integers(0, 10 ** 6)
@@ -97,11 +98,12 @@ def test_weak_verdict_invariant_under_permutation_and_padding(systems, k):
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(SEEDS, st.integers(6, 12))
+@given(SEEDS, st.integers(6, 16))
 def test_weak_violation_depth_decides_every_k(seed, n):
     des = random_weak_instance(seed, n=n)
     at_inf = verify_weak(des, INFINITE)
     depth = None if at_inf.opaque else len(at_inf.witness.nu)
+    assert depth == two_way_violation_depth(des)
     for k in (0, 1, 2, 3, 5, INFINITE):
         verdict = at_inf if k is INFINITE else verify_weak(des, k)
         assert verdict.opaque == (depth is None or k < depth)

@@ -33,6 +33,7 @@ from conftest import (
     random_det_instance,
     random_weak_instance,
     revealing_estimate,
+    two_way_violation_depth,
 )
 
 
@@ -377,12 +378,11 @@ def test_universal_pruning_keeps_verdicts_on_fixtures_and_pools():
     reduced = [reduce_to_weak(des)[1].des_prime for des in pinned_pool("strong_reduction")]
     explored = []
     for des in systems + reduced:
-        # a breadth-first search reaches its first violation at the least
-        # violation depth, so the unpruned run at k = inf decides every k
-        opaque, depth, _explored = _unpruned_search(des, INFINITE)
+        # the two-way observer's least violation depth decides every k
+        depth = two_way_violation_depth(des)
         for k in (0, 1, 1000, INFINITE):
             v = verify_weak(des, k)
-            assert v.opaque == (opaque or depth > k)
+            assert v.opaque == (depth is None or depth > k)
             if not v.opaque:
                 assert v.stats.bfs_depth_reached == depth
                 assert validate_weak_witness(des, k, v.witness)
