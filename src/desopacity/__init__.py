@@ -8,7 +8,6 @@ from .automata import (
     EventTable,
     Projection,
     Subsumption,
-    accessible,
     is_deterministic,
     make_events,
     mask_of,
@@ -53,4 +52,4 @@ __version__ = "0.1.0"
 def load_fixture(name: str) -> Des:
     """Load one of the bundled example systems (e.g. ``"fig5"``)."""
     path = resources.files(__package__) / "fixtures" / f"{name}.des"
-    return parse_des(path.read_text())
+    return parse_des(path.read_text(encoding="utf-8"))

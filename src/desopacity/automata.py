@@ -462,29 +462,6 @@ def product_successors(pg: Projection, kept: Subsumption) -> Callable:
     return successors
 
 
-def accessible(des: Des) -> Des:
-    """Restriction to states reachable from the initial set, densely
-    reindexed; the relative order of the kept states is preserved."""
-    succ = [0] * des.state_count
-    for (p, _e, q) in des.transitions:
-        succ[p] |= 1 << q
-    kept = states_of(_closure(succ, mask_of(des.initial)))
-    remap = {old: new for new, old in enumerate(kept)}
-    return Des(
-        state_count=len(kept),
-        events=des.events,
-        transitions=frozenset(
-            (remap[p], e, remap[q])
-            for (p, e, q) in des.transitions
-            if p in remap and q in remap
-        ),
-        initial=frozenset(remap[q] for q in des.initial),
-        secret=frozenset(remap[q] for q in des.secret if q in remap),
-        nonsecret=frozenset(remap[q] for q in des.nonsecret if q in remap),
-        state_names=tuple(des.state_names[q] for q in kept),
-    )
-
-
 def is_deterministic(des: Des) -> bool:
     if len(des.initial) != 1:
         return False

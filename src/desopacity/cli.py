@@ -37,7 +37,7 @@ def _parse_k(text: str):
 
 
 def _load(path: str) -> Des:
-    return parse_des(Path(path).read_text())
+    return parse_des(Path(path).read_text(encoding="utf-8"))
 
 
 def _emit(opaque: bool, witness, des_for_names, out) -> int:
@@ -69,8 +69,8 @@ def _cmd_verify_weak(args, out) -> int:
     if args.dot:
         directory = Path(args.dot)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "des.dot").write_text(des_to_dot(des))
-        (directory / "observer.dot").write_text(observer_to_dot(des))
+        (directory / "des.dot").write_text(des_to_dot(des), encoding="utf-8")
+        (directory / "observer.dot").write_text(observer_to_dot(des), encoding="utf-8")
     return _emit_verdict(verdict, des, args, out)
 
 
@@ -81,17 +81,17 @@ def _cmd_verify_strong(args, out) -> int:
 
 
 def _cmd_normalize(args, out) -> int:
-    Path(args.output).write_text(serialize_des(normalize(_load(args.input))))
+    Path(args.output).write_text(serialize_des(normalize(_load(args.input))), encoding="utf-8")
     return 0
 
 
 def _cmd_transform(args, out) -> int:
-    Path(args.output).write_text(serialize_des(strong_to_weak(_load(args.input)).des_prime))
+    Path(args.output).write_text(serialize_des(strong_to_weak(_load(args.input)).des_prime), encoding="utf-8")
     return 0
 
 
 def _cmd_observer(args, out) -> int:
-    Path(args.dot).write_text(observer_to_dot(_load(args.input)))
+    Path(args.dot).write_text(observer_to_dot(_load(args.input)), encoding="utf-8")
     return 0
 
 
@@ -119,7 +119,7 @@ def _cmd_random(args, out) -> int:
         deterministic=args.deterministic,
         rng_seed=args.seed,
     )
-    Path(args.output).write_text(serialize_des(random_des(params)))
+    Path(args.output).write_text(serialize_des(random_des(params)), encoding="utf-8")
     return 0
 
 

@@ -17,8 +17,10 @@ from .automata import (
     Des,
     Event,
     EventTable,
-    accessible,
+    _closure,
     is_deterministic,
+    mask_of,
+    states_of,
 )
 from .weak import KBound, Verdict, verify_weak
 
@@ -66,40 +68,43 @@ def _prime_names(des: Des) -> tuple:
 def normalize(des: Des) -> Des:
     """Redirect unobservable secret-to-nonsecret transitions into a secret copy.
 
-    The copy of state q is q + n before pruning.  Steps: (1) redirect the
-    offending transitions to the copies, (2) copy every unobservable
-    transition between copies, (3) let copies rejoin the originals on
-    observable events, (4) prune unreachable states.
+    The copy of state q is q + n until step (4) renumbers.  Steps: (1)
+    redirect the offending transitions to the copies, (2) copy every
+    unobservable transition between copies, (3) let copies rejoin the
+    originals on observable events, (4) keep only the states reachable from
+    the initial state, the originals first and then the surviving copies,
+    each in index order.  The result is built once, from the reachable part.
     """
     des = _strong_input(des)
     n = des.state_count
     unobs = set(des.events.unobservable_indices())
     delta = set()
     for (p, e, q) in des.transitions:
-        if e in unobs and p in des.secret and q in des.nonsecret:
-            delta.add((p, e, q + n))  # step (1)
-        else:
-            delta.add((p, e, q))
-    for (p, e, q) in des.transitions:
         if e in unobs:
+            redirect = p in des.secret and q in des.nonsecret
+            delta.add((p, e, q + n if redirect else q))  # step (1)
             delta.add((p + n, e, q + n))  # step (2)
         else:
+            delta.add((p, e, q))
             delta.add((p + n, e, q))  # step (3)
+    succ = [0] * (2 * n)
+    for (p, _e, q) in delta:
+        succ[p] |= 1 << q
+    kept = states_of(_closure(succ, mask_of(des.initial)))  # step (4)
+    remap = {old: new for new, old in enumerate(kept)}
     names, primes = _prime_names(des)
-    doubled = Des(
-        state_count=2 * n,
+    names += primes
+    normalized = Des(
+        state_count=len(kept),
         events=des.events,
-        transitions=frozenset(delta),
-        initial=des.initial,
-        secret=des.secret | frozenset(range(n, 2 * n)),
-        nonsecret=des.nonsecret,
-        state_names=names + primes,
+        transitions=frozenset((remap[p], e, remap[q]) for (p, e, q) in delta if p in remap),
+        initial=frozenset(remap[q] for q in des.initial),
+        secret=frozenset(remap[q] for q in kept if q >= n or q in des.secret),
+        nonsecret=frozenset(remap[q] for q in kept if q in des.nonsecret),
+        state_names=tuple(names[q] for q in kept),
     )
-    # step (4): prune unreachable states
-    trimmed = accessible(doubled)
-
-    assert is_deterministic(trimmed) and is_normal(trimmed), "normalized system must be deterministic and normal"
-    return trimmed
+    assert is_deterministic(normalized) and is_normal(normalized), "normalized system must be deterministic and normal"
+    return normalized
 
 
 def _fresh_event_name(events: EventTable) -> str:

@@ -130,6 +130,56 @@ def exhaustive_strong_bounds(des, k):
     return OracleBounds(mu_max=n * per_state, nu_max=0)
 
 
+def normalize_reference(des):
+    """``normalize`` built literally from its documented steps: double the
+    state space (the copy of q is q + n, secret, named q with primes until
+    the name is free), (1) redirect the unobservable secret-to-nonsecret
+    transitions to the copies, (2) copy the unobservable transitions between
+    copies, (3) let copies rejoin the originals on observable events, then
+    keep what a plain BFS over the transition triples reaches, in index
+    order.  Takes the deterministic inputs ``normalize`` takes."""
+    n = des.state_count
+    nonsecret = des.nonsecret or frozenset(range(n)) - des.secret
+    names = list(des.state_names)
+    for q in range(n):
+        name = names[q] + "'"
+        while name in names:
+            name += "'"
+        names.append(name)
+    secret = des.secret | frozenset(range(n, 2 * n))
+    unobservable = {e for e, event in enumerate(des.events.entries) if not event.observable}
+    delta = set()
+    for (p, e, q) in des.transitions:
+        if e in unobservable and p in des.secret and q in nonsecret:
+            delta.add((p, e, q + n))  # (1) redirect
+        else:
+            delta.add((p, e, q))
+    for (p, e, q) in des.transitions:
+        if e in unobservable:
+            delta.add((p + n, e, q + n))  # (2) copy
+        else:
+            delta.add((p + n, e, q))  # (3) rejoin
+    reached = set(des.initial)
+    queue = deque(des.initial)
+    while queue:
+        p = queue.popleft()
+        for (source, _e, q) in delta:
+            if source == p and q not in reached:
+                reached.add(q)
+                queue.append(q)
+    kept = sorted(reached)
+    new = {q: i for i, q in enumerate(kept)}
+    return Des(
+        state_count=len(kept),
+        events=des.events,
+        transitions=frozenset((new[p], e, new[q]) for (p, e, q) in delta if p in reached),
+        initial=frozenset(new[q] for q in des.initial),
+        secret=frozenset(new[q] for q in kept if q in secret),
+        nonsecret=frozenset(new[q] for q in kept if q in nonsecret),
+        state_names=tuple(names[q] for q in kept),
+    )
+
+
 def language_equivalent(a: Des, b: Des) -> bool:
     """Equality of the generated (prefix-closed) languages of two deterministic DES.
 

@@ -8,7 +8,6 @@ from desopacity import (
     INFINITE,
     Des,
     Subsumption,
-    accessible,
     bounded_bfs,
     compute_seeds,
     is_deterministic,
@@ -413,30 +412,6 @@ def test_product_successors_match_oracle_row_reference():
         assert logs[0] == logs[1]
         traffic += len(logs[0])
     assert traffic > 500
-
-
-def test_accessible_drops_isolated_state():
-    des = Des(
-        state_count=3,
-        events=make_events(["a"]),
-        transitions=frozenset({(0, 0, 1)}),
-        initial=frozenset({0}),
-        secret=frozenset({2}),
-        state_names=("p", "q", "iso"),
-    )
-    acc = accessible(des)
-    assert acc.state_count == 2
-    assert acc.state_names == ("p", "q")  # "p" and "q" keep indices 0 and 1
-    assert acc.secret == frozenset()
-    assert acc.transitions == frozenset({(0, 0, 1)})
-
-
-def test_accessible_identity_when_reachable():
-    des = load_fixture("fig5")
-    acc = accessible(des)
-    assert acc.state_names == des.state_names  # every state keeps its index
-    assert acc.state_count == des.state_count
-    assert acc.transitions == des.transitions
 
 
 def test_is_deterministic():

@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -252,6 +256,32 @@ def test_cli_normalize_and_transform(tmp_path):
     assert code == 0
     prime = parse_des(out_file2.read_text())
     assert prime.state_count == 14
+
+
+def test_file_io_does_not_use_the_locale_encoding(tmp_path):
+    # under -X warn_default_encoding, an open() that falls back on the
+    # locale's encoding warns, and -W error makes that warning an error
+    src = str(Path(resources.files("desopacity")).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c"]
+    cli_call = "import sys; from desopacity.cli import run; sys.exit(run(sys.argv[1:]))"
+    norm, prime = str(tmp_path / "norm.des"), str(tmp_path / "prime.des")
+    runs = [
+        (["verify-weak", "--input", fixture_path("fig1"), "--k", "1", "--dot", str(tmp_path / "dots")], 1),
+        (["normalize", "--input", fixture_path("fig6"), "--output", norm], 0),
+        (["transform", "--input", norm, "--output", prime], 0),
+        (["observer", "--input", fixture_path("fig2"), "--dot", str(tmp_path / "obs.dot")], 0),
+        (["random", "--states", "5", "--obs-events", "2", "--unobs-events", "1", "--density", "1.0",
+          "--secret-frac", "0.3", "--seed", "1", "--output", str(tmp_path / "random.des")], 0),
+        (["bench", "--input", fixture_path("fig2"), "--k-list", "0,1,inf"], 0),
+    ]
+    for argv, expected in runs:
+        done = subprocess.run(flags + [cli_call] + argv, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (expected, ""), argv
+    done = subprocess.run(
+        flags + ["from desopacity import load_fixture; load_fixture('fig1')"], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 FIG2_OBSERVER_DOT = """\

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desopacity import (
     INFINITE,
@@ -13,13 +15,14 @@ from desopacity import (
     observer,
     project,
     reduce_to_weak,
+    serialize_des,
     strong_to_weak,
     verify_strong,
     verify_weak,
 )
 from desopacity.oracle import simulate_observation
 
-from conftest import language_equivalent, random_det_instance
+from conftest import language_equivalent, normalize_reference, pinned_pool, random_det_instance
 
 
 def _successor(des):
@@ -67,6 +70,44 @@ def test_normalize_fixed_point_on_normal_input():
     assert des_n.state_count == des.state_count
     assert des_n.transitions == des.transitions
     assert des_n.state_names == des.state_names  # no primed copy survives
+
+
+def test_normalize_drops_unreachable_original():
+    # "iso" only leads into the system; "s" -u-> "t" is redirected to t',
+    # and t' -u-> w' survives through step (2)
+    des = Des(
+        state_count=5,
+        events=make_events(["o"], ["u"]),
+        transitions=frozenset({(0, 0, 1), (1, 1, 2), (2, 0, 4), (2, 1, 4), (3, 0, 0), (4, 0, 2)}),
+        initial=frozenset({0}),
+        secret=frozenset({1, 3}),
+        state_names=("init", "s", "t", "iso", "w"),
+    )
+    des_n = normalize(des)
+    # originals in index order, then the surviving copies in index order
+    assert des_n.state_names == ("init", "s", "t", "w", "t'", "w'")
+    assert des_n.initial == frozenset({0})
+    assert des_n.secret == frozenset({1, 4, 5})
+    assert des_n.nonsecret == frozenset({0, 2, 3})
+    assert des_n.transitions == frozenset(
+        {(0, 0, 1), (1, 1, 4), (2, 0, 3), (2, 1, 3), (3, 0, 2), (4, 0, 3), (4, 1, 5), (5, 0, 2)}
+    )
+
+
+def _assert_normalize_matches_reference(des):
+    assert serialize_des(normalize(des)) == serialize_des(normalize_reference(des))
+
+
+def test_normalize_matches_reference_on_fixtures_and_pool():
+    fixtures = [load_fixture(name) for name in ("fig5", "fig6", "fig8", "fig10")]
+    for des in fixtures + pinned_pool("strong_reduction"):
+        _assert_normalize_matches_reference(des)
+
+
+@given(st.integers(3, 40), st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 2))
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def test_normalize_matches_reference_on_random_systems(n, seed, obs, unobs):
+    _assert_normalize_matches_reference(random_det_instance(seed, n=n, obs=obs, unobs=unobs, density=0.7))
 
 
 def test_normalize_rejects_bad_inputs():
