@@ -72,6 +72,21 @@ def test_normalize_fixed_point_on_normal_input():
     assert des_n.state_names == des.state_names  # no primed copy survives
 
 
+def test_normalize_identity_when_reachable():
+    # a normal input reachable everywhere comes back unchanged: every state
+    # keeps its index, and no primed copy is reachable
+    for name in ("fig8", "fig10"):
+        des = load_fixture(name)
+        assert is_normal(des)
+        des_n = normalize(des)
+        assert des_n.state_names == des.state_names
+        assert des_n.state_count == des.state_count
+        assert des_n.transitions == des.transitions
+        assert des_n.initial == des.initial
+        assert des_n.secret == des.secret
+        assert des_n.events == des.events
+
+
 def test_normalize_drops_unreachable_original():
     # "iso" only leads into the system; "s" -u-> "t" is redirected to t',
     # and t' -u-> w' survives through step (2)
