@@ -382,27 +382,24 @@ def subsumed(masks, z: int) -> bool:
 
 
 class Subsumption:
-    """The pairs (q, Z) that one product search has kept, seeds first, and
-    the rules that skip a pair which a kept one subsumes.
+    """The rules that skip a pair in one product search, seeds first.
 
     With U the projection's ``universal`` states, (q, Z) is skipped when
-    (a) Z holds a state of U, (b) a kept (p, Y) with p in U has Y ⊆ Z, or,
-    the same-state rule, a kept (q, Y) has Y ⊆ Z.  ``weak.py`` states why
-    this is sound.
+    (a) Z holds a state of U, or (b) a kept (p, Y) with p in U has Y ⊆ Z.
+    The search drops exact repeats itself.  ``weak.py`` states why this is
+    sound.
     """
 
     def __init__(self, universal: int):
         self.universal = universal
-        self.by_state = {}  # q not in U -> estimates of the kept pairs (q, Y)
         self.dominating = []  # estimates of the kept pairs (p, Y) with p in U
 
     def admit(self, states: int, z: int):
         """Yield, in ascending order, each state q of the mask ``states`` whose
-        pair (q, z) is kept, keeping it.  Rules (a) and (b) do not depend on
-        q, so they are tested once, before any state is read off the mask;
-        once a universal q is kept, rule (b) skips the rest.  An exact
-        repeat (q, z) is never yielded: the same-state rule skips it, as
-        z ⊆ z, or, for a universal q, rule (b), as z is then dominating."""
+        pair (q, z) is kept.  Rules (a) and (b) do not depend on q, so they
+        are tested once, before any state is read off the mask; once a
+        universal q is kept, z is dominating and rule (b) skips the rest,
+        and any later repeat of (q, z)."""
         universal = self.universal
         if z & universal or subsumed(self.dominating, z):
             return
@@ -414,10 +411,7 @@ class Subsumption:
                 self.dominating.append(z)
                 yield q
                 return
-            masks = self.by_state.setdefault(q, [])
-            if not subsumed(masks, z):
-                masks.append(z)
-                yield q
+            yield q
 
 
 def product_successors(pg: Projection, kept: Subsumption) -> Callable:
@@ -431,12 +425,11 @@ def product_successors(pg: Projection, kept: Subsumption) -> Callable:
     Each expanded vertex is stepped once, and each event's targets and Z'
     are read off ``pg.packed[q]`` and the step with a shift and a mask.
 
-    It yields only the vertices that ``kept`` admits, and keeps them: none
-    when Z' holds a universal state (rule (a)) or a kept (p, Y) with p
-    universal has Y ⊆ Z' (rule (b)), both tested once per event slice, and
-    no (q', Z') after a kept (q', Y) with Y ⊆ Z' (the same-state rule);
-    ``weak.py`` states why this is sound.  Being stateful, the function
-    serves one search.
+    It yields only the vertices that ``kept`` admits: none when Z' holds a
+    universal state (rule (a)) or a kept (p, Y) with p universal has
+    Y ⊆ Z' (rule (b)), both tested once per event slice; ``weak.py`` states
+    why this is sound.  It may yield a vertex again.  Being stateful, the
+    function serves one search.
     """
     packed = pg.packed
     step = pg.step

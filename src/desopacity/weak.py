@@ -22,17 +22,18 @@ follow every observation, a pair (q, Z') is skipped when
 
 - (a) Z' holds a state of U: every step of Z' then holds one too, so the
   estimate never becomes empty and (q, Z') never reveals;
-- (b) a pair (p, Z) with p in U and Z ⊆ Z' is kept: p can follow any
-  observation that q makes;
-- or a pair (q, Z) with Z ⊆ Z' is kept (the same-state rule).
+- or (b) a pair (p, Z) with p in U and Z ⊆ Z' is kept: p can follow any
+  observation that q makes.
 
-The order "(p = q or p in U) and Z ⊆ Z'" is a simulation on the product:
-each move of (q, Z') on an event is matched by a move of (p, Z) to a pair
-below it, because the step is monotone in the estimate, and an empty Z'
-forces an empty Z.  So any violation within j steps of (q, Z') is matched
-within j steps of (p, Z), and the breadth-first order keeps (p, Z) no later
-than (q, Z').  Rule (a) does not change the discovery order of the kept
-pairs either, as a pair whose estimate holds a state of U has only such
+The searches' own duplicate checks drop exact repeats: the product
+search's ``marked``, and ``compute_seeds``'s first root per pair.  The
+order "p in U and Z ⊆ Z'" is a simulation on the product: each move of
+(q, Z') on an event is matched by a move of (p, Z) to a pair below it,
+because the step is monotone in the estimate, and an empty Z' forces an
+empty Z.  So any violation within j steps of (q, Z') is matched within j
+steps of (p, Z), and the breadth-first order keeps (p, Z) no later than
+(q, Z').  Rule (a) does not change the discovery order of the kept pairs
+either, as a pair whose estimate holds a state of U has only such
 successors.  So the verdict and the violation depth are those of the
 unpruned search at every k, and fewer product states are explored.
 """
@@ -94,20 +95,19 @@ class Verdict:
 def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> dict:
     """Product roots: (secret state q, nonsecret estimate Z) -> estimate X.
 
-    One root per reachable estimate X (a key of the observer map ``obs``,
-    which may be a prefix stopped at the first revealing estimate) and
-    secret state q in X, with Z = X & ``nonsecret`` (masks), unless ``kept``
-    skips it; ``kept`` keeps each root for the product search.  Rule (a),
-    Z holds a universal state, and rule (b), an earlier root (p, Y) with p
-    universal has Y ⊆ Z, do not depend on q, so they are tested once per
-    estimate; the same-state rule skips (q, Z) after an earlier root (q, Y)
-    with Y ⊆ Z.  Roots follow the observer's discovery order, so the
-    estimate a root maps to has a shortest observation, ties broken by
-    event-table order.  An estimate whose secret and nonsecret states equal
-    an earlier one's gives the same roots, so it is skipped.  The roots end
-    at the first revealing one (q, 0), where the product search stops; it
-    comes from the first revealing estimate, so a prefix of ``obs`` that
-    ends there gives the same roots as all of it.
+    One root per pair of a reachable estimate X (a key of the observer map
+    ``obs``, which may be a prefix stopped at the first revealing estimate)
+    and secret state q in X, with Z = X & ``nonsecret`` (masks), unless
+    ``kept`` skips it; the pair keeps its first X.  Rule (a), Z holds a
+    universal state, and rule (b), an earlier root (p, Y) with p universal
+    has Y ⊆ Z, do not depend on q, so they are tested once per estimate.
+    Roots follow the observer's discovery order, so the estimate a root
+    maps to has a shortest observation, ties broken by event-table order.
+    An estimate whose secret and nonsecret states equal an earlier one's
+    gives the same roots, so it is skipped.  The roots end at the first
+    revealing one (q, 0), where the product search stops; it comes from the
+    first revealing estimate, so a prefix of ``obs`` that ends there gives
+    the same roots as all of it.
     """
     seeds = {}
     harvested = set()  # X & (secret | nonsecret) of the estimates seen
@@ -120,7 +120,7 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> 
         harvested.add(key)
         z = x & nonsecret
         for q in kept.admit(secrets, z):
-            seeds[(q, z)] = x
+            seeds.setdefault((q, z), x)
             if not z:
                 return seeds
     return seeds

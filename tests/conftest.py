@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -40,16 +41,29 @@ def random_det_instance(seed, n=4, obs=2, unobs=1, density=0.8, secret=0.3):
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
-def pinned_pool(workload):
-    """The systems of one pool in the benchmark's ``pinned.json``, built by
-    the benchmark's own ``workloads.build_instance`` (both read-only)."""
+def _benchmark_workloads():
+    """The benchmark's ``workloads`` module, loaded read-only."""
     workloads = sys.modules.get("benchmark_workloads")
     if workloads is None:
         spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCHMARK / "workloads.py")
         workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
+    return workloads
+
+
+def pinned_pool(workload):
+    """The systems of one pool in the benchmark's ``pinned.json``, built by
+    the benchmark's own ``workloads.build_instance`` (both read-only)."""
     entries = json.loads((BENCHMARK / "pinned.json").read_text())["workloads"][workload]
-    return [workloads.build_instance(entry) for entry in entries]
+    return [_benchmark_workloads().build_instance(entry) for entry in entries]
+
+
+def neutral_start_nth_letter(n):
+    """The benchmark's ``nth_letter_des(n)`` with state 0 neutral and states
+    1..n-1 nonsecret: state 0 is universal but no longer nonsecret, so
+    every estimate holding the secret state n seeds its own pair (n, Z),
+    2^(n-1) distinct seeds of one state."""
+    return dataclasses.replace(_benchmark_workloads().nth_letter_des(n), nonsecret=frozenset(range(1, n)))
 
 
 def revealing_estimate(des):
@@ -111,6 +125,77 @@ def two_way_violation_depth(des):
                 if y2 and y2 not in reached:
                     reached.add(y2)
                     following.append(y2)
+        level, depth = following, depth + 1
+    return None
+
+
+def two_way_strong_violation_depth(des):
+    """The least k at which the deterministic ``des`` is not strongly k-step
+    opaque, or None if it is strongly k-step opaque at every k: a two-way
+    check in the manner of Yin and Lafortune (Automatica 80, 2017), for the
+    strong notion that the oracle's ``_covered`` decides.  An observation
+    w = mu nu is covered iff some run observing w is in no secret state
+    from mu's last observable event on, with |nu| = k (or mu empty).
+
+    E_mu is the set of states that mu's last observable event enters, {q0}
+    for the empty mu; it is not closed under unobservable moves, as the
+    states they reach count too.  Y_nu holds the states from which nu can
+    be observed, and N_nu the nonsecret states from which some run
+    observing nu visits only nonsecret states; Y of the empty nu is all
+    states and N the nonsecret ones.  Y_nu and N_nu are built backward,
+    level by level in |nu|.  The depth is the least |nu| with E_mu meeting
+    Y_nu and missing N_nu.  An empty ``nonsecret`` is read as the
+    complement of ``secret``.  Works on plain transition masks and shares
+    no code with ``normalize``, ``strong_to_weak``, ``project`` or the
+    observer.
+    """
+    n = des.state_count
+    everything = (1 << n) - 1
+    nonsecret = mask_of(des.nonsecret) or everything & ~mask_of(des.secret)
+    unobservable, unobservable_back, rows, back_rows = [0] * n, [0] * n, {}, {}
+    for (p, e, q) in des.transitions:
+        if des.events[e].observable:
+            rows.setdefault(e, [0] * n)[p] |= 1 << q
+            back_rows.setdefault(e, [0] * n)[q] |= 1 << p
+        else:
+            unobservable[p] |= 1 << q
+            unobservable_back[q] |= 1 << p
+
+    def image(row, mask):
+        out = 0
+        for q in range(n):
+            if mask >> q & 1:
+                out |= row[q]
+        return out
+
+    def reach(succ, mask, within):
+        frontier = mask
+        while frontier:
+            frontier = image(succ, frontier) & within & ~mask
+            mask |= frontier
+        return mask
+
+    start = mask_of(des.initial)
+    entered, stack = {start}, [start]
+    while stack:
+        closed = reach(unobservable, stack.pop(), everything)
+        for row in rows.values():
+            e = image(row, closed)
+            if e and e not in entered:
+                entered.add(e)
+                stack.append(e)
+    level, reached, depth = [(everything, nonsecret)], {(everything, nonsecret)}, 0
+    while level:
+        if any(e & y and not e & ns for y, ns in level for e in entered):
+            return depth
+        following = []
+        for y, ns in level:
+            for row in back_rows.values():
+                y2 = reach(unobservable_back, image(row, y), everything)
+                ns2 = reach(unobservable_back, image(row, ns) & nonsecret, nonsecret)
+                if y2 and (y2, ns2) not in reached:
+                    reached.add((y2, ns2))
+                    following.append((y2, ns2))
         level, depth = following, depth + 1
     return None
 

@@ -6,9 +6,10 @@ witness's continuation) and the observer's size must not change either.
 The witness's observation may: ties between seeds are broken by state index.
 A system is weakly k-step opaque exactly for the k below its violation
 depth, so one run at k = inf decides every k, and that depth equals the
-two-way observer's, a check independent of the product search.  The
-observer that ``verify_weak`` stops at the first revealing estimate is a
-prefix of the full one, and gives the same seeds.
+two-way observer's, a check independent of the product search; the
+strong violation depth equals that of a two-way check independent of the
+reduction.  The observer that ``verify_weak`` stops at the first
+revealing estimate is a prefix of the full one, and gives the same seeds.
 """
 
 import random
@@ -31,7 +32,13 @@ from desopacity import (
 )
 from desopacity.oracle import validate_weak_witness
 
-from conftest import random_det_instance, random_weak_instance, revealing_estimate, two_way_violation_depth
+from conftest import (
+    random_det_instance,
+    random_weak_instance,
+    revealing_estimate,
+    two_way_strong_violation_depth,
+    two_way_violation_depth,
+)
 
 KS = st.sampled_from([0, 1, 3, INFINITE])
 SEEDS = st.integers(0, 10 ** 6)
@@ -110,6 +117,20 @@ def test_weak_violation_depth_decides_every_k(seed, n):
         if not verdict.opaque:
             assert len(verdict.witness.nu) == depth
             assert validate_weak_witness(des, k, verdict.witness)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(SEEDS, st.integers(6, 30))
+def test_strong_violation_depth_matches_two_way_check(seed, n):
+    # the two-way check shares no code with the reduction that verify_strong
+    # runs, so a fault in normalize or strong_to_weak shows here
+    des = random_det_instance(seed, n=n)
+    depth = two_way_strong_violation_depth(des)
+    for k in (0, 1, 2, 3, 5, INFINITE):
+        verdict = verify_strong(des, k)
+        assert verdict.opaque == (depth is None or k < depth)
+        if not verdict.opaque:
+            assert len(verdict.witness.nu) == depth
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)

@@ -20,9 +20,16 @@ from desopacity import (
     verify_strong,
     verify_weak,
 )
-from desopacity.oracle import simulate_observation
+from desopacity.oracle import simulate_observation, strong_violation_search
 
-from conftest import language_equivalent, normalize_reference, pinned_pool, random_det_instance
+from conftest import (
+    exhaustive_strong_bounds,
+    language_equivalent,
+    normalize_reference,
+    pinned_pool,
+    random_det_instance,
+    two_way_strong_violation_depth,
+)
 
 
 def _successor(des):
@@ -250,6 +257,34 @@ def test_verify_strong_fig5():
 def test_verify_strong_fig8_fig10():
     assert not verify_strong(load_fixture("fig8"), 1).opaque
     assert verify_strong(load_fixture("fig10"), 1).opaque
+
+
+def test_two_way_strong_check_matches_oracle():
+    # the check that the strong property tests rest on, against the
+    # definition-level search on systems it covers exhaustively
+    violations = 0
+    for seed in range(150):
+        des = random_det_instance(seed, n=3 + seed % 3)
+        depth = two_way_strong_violation_depth(des)
+        for k in (0, 1, 2, INFINITE):
+            found = strong_violation_search(des, k, exhaustive_strong_bounds(des, k))
+            assert (found is None) == (depth is None or k < depth)
+            violations += found is not None
+    assert violations > 100
+
+
+def test_verify_strong_matches_two_way_check_on_fixtures_and_pool():
+    systems = [load_fixture(name) for name in ("fig5", "fig6", "fig8", "fig10")] + pinned_pool("strong_reduction")
+    depths = []
+    for des in systems:
+        depth = two_way_strong_violation_depth(des)
+        depths.append(depth)
+        for k in (0, 1, 2, 3, 1000, INFINITE):
+            verdict = verify_strong(des, k)
+            assert verdict.opaque == (depth is None or k < depth)
+            if not verdict.opaque:
+                assert len(verdict.witness.nu) == depth
+    assert None in depths and any(depths)
 
 
 def test_verify_strong_rejects_neutral_states():

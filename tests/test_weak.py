@@ -28,6 +28,7 @@ from desopacity.weak import Verdict, VerifyStats, check_k
 
 from conftest import (
     exhaustive_weak_bounds,
+    neutral_start_nth_letter,
     oracle_rows,
     pinned_pool,
     random_det_instance,
@@ -91,9 +92,10 @@ def test_compute_seeds_no_secret():
     assert compute_seeds(observer(pg), 0, mask_of(des.nonsecret), Subsumption(universal(pg))) == {}
 
 
-def test_compute_seeds_drops_subsumed_seed():
+def test_compute_seeds_keeps_a_superset_seed():
     # "1" -a-> {"2","3"} gives the seed ("2", {"3"}); then -b-> {"2","3","4"}
-    # gives ("2", {"3","4"}), which the earlier seed subsumes
+    # gives ("2", {"3","4"}).  No state is universal, so both are kept:
+    # only a kept universal pair subsumes another
     des = Des(
         state_count=4,
         events=make_events(["a", "b"]),
@@ -104,7 +106,29 @@ def test_compute_seeds_drops_subsumed_seed():
     )
     obs, seeds = _seeds(des)
     assert mask_of({1, 2, 3}) in obs
-    assert seeds == {(1, mask_of({2})): mask_of({1, 2})}
+    assert seeds == {(1, mask_of({2})): mask_of({1, 2}), (1, mask_of({2, 3})): mask_of({1, 2, 3})}
+
+
+def test_compute_seeds_keeps_the_first_root_of_a_pair():
+    # "1" -a-> {"2","4"} and "1" -b-> {"2","3","4"}: two estimates with
+    # different secret parts that both give the seed ("2", {"4"}).  The seed
+    # maps to the first, so the witness's observation is the shortest, ties
+    # broken by event-table order: a, not b
+    des = Des(
+        state_count=5,
+        events=make_events(["a", "b", "c"]),
+        transitions=frozenset({(0, 0, 1), (0, 0, 3), (0, 1, 1), (0, 1, 2), (0, 1, 3), (1, 2, 4)}),
+        initial=frozenset({0}),
+        secret=frozenset({1, 2}),
+        nonsecret=frozenset({0, 3, 4}),
+    )
+    first, second = mask_of({1, 3}), mask_of({1, 2, 3})
+    obs, seeds = _seeds(des)
+    assert list(obs)[1:3] == [first, second]
+    assert seeds == {(1, mask_of({3})): first, (2, mask_of({3})): second}
+    v = verify_weak(des, INFINITE)
+    assert v.witness == Witness(("a",), 1, ("c",), first)
+    assert validate_weak_witness(des, INFINITE, v.witness)
 
 
 def test_compute_seeds_stops_at_first_revealing_seed():
@@ -371,8 +395,8 @@ def test_verify_weak_pruning_matches_unpruned_search():
 
 
 def test_universal_pruning_keeps_verdicts_on_fixtures_and_pools():
-    # the strong pool is reduced as verify_strong reduces it; its product
-    # counted 25,067 states over these k under the same-state rule alone
+    # the strong pool is reduced as verify_strong reduces it; the universal
+    # states keep its product to a few hundred states over these k
     systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
     systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
     reduced = [reduce_to_weak(des)[1].des_prime for des in pinned_pool("strong_reduction")]
@@ -446,6 +470,20 @@ def test_verify_weak_resource_bound():
         n = des.state_count
         v = verify_weak(des, INFINITE)
         assert v.stats.product_states_explored <= n * 2 ** n
+
+
+def test_admission_is_linear_in_the_seeds_of_one_state():
+    # 2^(n-1) distinct seeds ("n", Z), all of one state; the revealing one
+    # comes last.  A subset scan over the kept estimates of a state made
+    # this quadratic: n = 16 took 35 s
+    for n in (14, 16):
+        des = neutral_start_nth_letter(n)
+        for k in (0, 1, INFINITE):
+            v = verify_weak(des, k)
+            assert not v.opaque
+            assert v.stats.product_states_explored == 2 ** (n - 1)
+            assert v.stats.bfs_depth_reached == 0
+            assert validate_weak_witness(des, k, v.witness)
 
 
 def test_verify_weak_clamps_huge_k():
