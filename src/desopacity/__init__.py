@@ -7,15 +7,12 @@ from .automata import (
     Event,
     EventTable,
     Projection,
-    Subsumption,
     is_deterministic,
     make_events,
     mask_of,
     observer,
-    product_successors,
     project,
     states_of,
-    universal,
 )
 from .desfile import DesFormatError, parse_des, serialize_des
 from .oracle import (
@@ -38,11 +35,14 @@ from .strong import (
 from .weak import (
     INFINITE,
     KBound,
+    Subsumption,
     Verdict,
     VerifyStats,
     Witness,
     bounded_bfs,
     compute_seeds,
+    product_successors,
+    universal,
     verify_weak,
 )
 

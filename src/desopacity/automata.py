@@ -2,10 +2,10 @@
 
 A DES is a nondeterministic finite automaton whose alphabet is split into
 observable and unobservable events, together with disjoint sets of secret
-and nonsecret states.  This module provides the constructions that the
-opacity verifiers are built from: projection onto the observable alphabet,
-the level-bounded search, the subset-construction observer, and the
-successors of the product of the projection with its full observer.
+and nonsecret states.  This module provides the generic constructions
+that the opacity verifiers are built from: the model, projection onto the
+observable alphabet and its step kernel, the level-bounded search, the
+subset-construction observer, and the paths read off a search.
 
 Sets of states inside these constructions are int bitmasks: bit q is set
 iff state q is in the set, and the empty set is 0.  The projection has one
@@ -14,10 +14,9 @@ observable event, event j's at bit offset j·n for n states.  The step
 kernel tables, for each block of 8 states, the union of their packed rows
 over all 256 subsets of the block, so stepping an estimate ORs one lookup
 per 8 states and reads each event's successor off with a shift and a mask.
-The observer, the product and the DOT export step through this kernel,
-and the product steps each pair it expands once.
-The observer and the product are both searched by ``bounded_bfs``, and
-``path_to`` reads a path off either search.
+The observer, the weak verifier's product and the DOT export step
+through this kernel.  Both searches run on ``bounded_bfs``, and
+``path_to`` reads a path off either.
 """
 
 from __future__ import annotations
@@ -35,6 +34,16 @@ BLOCK = 8
 BYTE = (1 << BLOCK) - 1
 
 
+def _check_one_line(names: tuple) -> None:
+    """Reject a name that holds a line break: the CLI prints each name
+    inside one line of its line-based output.  Some name holds one iff the
+    names joined do, so names without one cost one scan."""
+    joined = "".join(names)
+    if joined.splitlines() not in ([], [joined]):
+        bad = next(name for name in names if name.splitlines() not in ([], [name]))
+        raise ValueError(f"name {bad!r} contains a line break")
+
+
 @dataclass(frozen=True)
 class Event:
     name: str
@@ -44,7 +53,7 @@ class Event:
 @dataclass(frozen=True)
 class EventTable:
     """Ordered alphabet with an observability flag per event: at least one
-    event, names nonempty and distinct."""
+    event, names nonempty, distinct and without a line break."""
 
     entries: tuple
 
@@ -58,6 +67,7 @@ class EventTable:
             if e.name in seen:
                 raise ValueError(f"duplicate event name: {e.name!r}")
             seen.add(e.name)
+        _check_one_line(self.names)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -94,10 +104,11 @@ class Des:
 
     States are indices 0..state_count-1, named ``str(q)`` unless
     ``state_names`` is given.  Construction checks the model's rules,
-    raising ``ValueError``: at least one state, distinct state names, a
-    nonempty initial set, indices in range, and disjoint ``secret`` and
-    ``nonsecret``; states in neither set are neutral.  The event table
-    checks its own rules.  Immutable after construction.
+    raising ``ValueError``: at least one state, distinct state names
+    without a line break, a nonempty initial set, indices in range, and
+    disjoint ``secret`` and ``nonsecret``; states in neither set are
+    neutral.  The event table checks its own rules.  Immutable after
+    construction.
     """
 
     state_count: int
@@ -131,6 +142,7 @@ class Des:
             raise ValueError("state_names length must match state_count")
         if len(set(self.state_names)) != n:
             raise ValueError("duplicate state name")
+        _check_one_line(self.state_names)
 
     def state_name(self, q: int) -> str:
         return self.state_names[q]
@@ -346,113 +358,6 @@ def observer(pg: Projection, stop: Optional[Callable] = None) -> dict:
     observer's discovery order up to and including x (``bounded_bfs``).
     """
     return bounded_bfs(estimate_successors(pg), (pg.initial,), INFINITE, stop)[0]
-
-
-def universal(pg: Projection) -> int:
-    """The mask of the projection's universal states: the greatest set U in
-    which every state has, on every observable event, a successor in U.
-
-    A universal state can follow every observation, so it simulates every
-    state.  States are dropped, reading each event's slice of
-    ``pg.packed[q]``, until none is dropped; with no observable event every
-    state is universal.
-    """
-    n = pg.state_count
-    offsets = range(0, n * len(pg.event_names), n)
-    kept = (1 << n) - 1
-    dropped = True
-    while dropped:
-        dropped = False
-        for q in states_of(kept):
-            row = pg.packed[q]
-            for offset in offsets:
-                if not (row >> offset) & kept:
-                    kept ^= 1 << q
-                    dropped = True
-                    break
-    return kept
-
-
-def subsumed(masks, z: int) -> bool:
-    """Whether some mask in ``masks`` is a subset of ``z``."""
-    for y in masks:
-        if not y & ~z:
-            return True
-    return False
-
-
-class Subsumption:
-    """The rules that skip a pair in one product search, seeds first.
-
-    With U the projection's ``universal`` states, (q, Z) is skipped when
-    (a) Z holds a state of U, or (b) a kept (p, Y) with p in U has Y ⊆ Z.
-    The search drops exact repeats itself.  ``weak.py`` states why this is
-    sound.
-    """
-
-    def __init__(self, universal: int):
-        self.universal = universal
-        self.dominating = []  # estimates of the kept pairs (p, Y) with p in U
-
-    def admit(self, states: int, z: int):
-        """Yield, in ascending order, each state q of the mask ``states`` whose
-        pair (q, z) is kept.  Rules (a) and (b) do not depend on q, so they
-        are tested once, before any state is read off the mask; once a
-        universal q is kept, z is dominating and rule (b) skips the rest,
-        and any later repeat of (q, z)."""
-        universal = self.universal
-        if z & universal or subsumed(self.dominating, z):
-            return
-        while states:
-            low = states & -states
-            states ^= low
-            q = low.bit_length() - 1
-            if universal & low:
-                self.dominating.append(z)
-                yield q
-                return
-            yield q
-
-
-def product_successors(pg: Projection, kept: Subsumption) -> Callable:
-    """Successor function of the product of the projection with its full
-    observer, pruned by subsumption for one search whose seeds ``kept`` holds.
-
-    A vertex is (q, Z): a state and an estimate mask.  On event j it moves
-    to (q', Z') for every q' in event j's slice of ``pg.packed[q]``, where
-    Z' is event j's slice of ``pg.step(Z)``, as (j, vertex) pairs in event
-    order and then state order.  Z = 0 is the empty estimate and stays 0.
-    Each expanded vertex is stepped once, and each event's targets and Z'
-    are read off ``pg.packed[q]`` and the step with a shift and a mask.
-
-    It yields only the vertices that ``kept`` admits: none when Z' holds a
-    universal state (rule (a)) or a kept (p, Y) with p universal has
-    Y ⊆ Z' (rule (b)), both tested once per event slice; ``weak.py`` states
-    why this is sound.  It may yield a vertex again.  Being stateful, the
-    function serves one search.
-    """
-    packed = pg.packed
-    step = pg.step
-    n = pg.state_count
-    full = (1 << n) - 1
-    admit = kept.admit
-
-    def successors(vertex):
-        q, z = vertex
-        row = packed[q]
-        y = step(z)
-        j = 0
-        while row:
-            states = row & full
-            if states:
-                z2 = y & full
-                for q2 in admit(states, z2):
-                    yield j, (q2, z2)
-            row >>= n
-            y >>= n
-            j += 1
-
-    return successors
 
 
 def is_deterministic(des: Des) -> bool:

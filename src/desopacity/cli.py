@@ -7,6 +7,7 @@ exit with 0 (opaque), 1 (not opaque), or 2 (usage or input error).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -55,11 +56,8 @@ def _emit_verdict(verdict, des_for_names, args, out) -> int:
     w = verdict.witness if args.witness else None
     code = _emit(verdict.opaque, w and (w.mu, w.secret_state, w.nu), des_for_names, out)
     if args.stats:
-        s = verdict.stats
-        print(f"observer_states={s.observer_states}", file=out)
-        print(f"h_states={s.h_states}", file=out)
-        print(f"product_states_explored={s.product_states_explored}", file=out)
-        print(f"bfs_depth={s.bfs_depth_reached}", file=out)
+        for f in dataclasses.fields(verdict.stats):
+            print(f"{f.name}={getattr(verdict.stats, f.name)}", file=out)
     return code
 
 
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--mu-max", type=int, required=True)
-    p.add_argument("--nu-max", type=int, required=True)
+    p.add_argument("--nu-max", type=int, required=True, help="bound on the continuation's length; 'oracle strong' ignores it")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("random")
@@ -231,3 +229,7 @@ def run(argv=None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,46 +17,51 @@ the early stop: it counts the estimates discovered, up to and including the
 first revealing one.
 
 Both the seeds and the product search skip pairs through one
-``Subsumption``.  With U the projection's universal states, those that can
-follow every observation, a pair (q, Z') is skipped when
+``Subsumption``.  Let U be the projection's universal states: the greatest
+set in which every state has, on every observable event, a successor in
+U, so a state of U can follow every observation.  A pair (q, Z') is
+skipped when
 
 - (a) Z' holds a state of U: every step of Z' then holds one too, so the
   estimate never becomes empty and (q, Z') never reveals;
 - or (b) a pair (p, Z) with p in U and Z ⊆ Z' is kept: p can follow any
   observation that q makes.
 
-The searches' own duplicate checks drop exact repeats: the product
-search's ``marked``, and ``compute_seeds``'s first root per pair.  The
-order "p in U and Z ⊆ Z'" is a simulation on the product: each move of
-(q, Z') on an event is matched by a move of (p, Z) to a pair below it,
-because the step is monotone in the estimate, and an empty Z' forces an
-empty Z.  So any violation within j steps of (q, Z') is matched within j
-steps of (p, Z), and the breadth-first order keeps (p, Z) no later than
-(q, Z').  Rule (a) does not change the discovery order of the kept pairs
-either, as a pair whose estimate holds a state of U has only such
-successors.  So the verdict and the violation depth are those of the
-unpruned search at every k, and fewer product states are explored.
+Neither rule depends on q, so each is tested once per estimate in seeding
+and once per event slice in the product search.  The searches' own
+duplicate checks drop exact repeats: the product search's ``marked``, and
+``compute_seeds``'s first root per pair.  The order "p in U and Z ⊆ Z'"
+is a simulation on the product: each move of (q, Z') on an event is
+matched by a move of (p, Z) to a pair below it, because the step is
+monotone in the estimate, and an empty Z' forces an empty Z.  So any
+violation within j steps of (q, Z') is matched within j steps of (p, Z),
+and the breadth-first order keeps (p, Z) no later than (q, Z').  Once a
+pair (p, Z) with p in U is kept, rule (b) skips every other pair with
+estimate Z, so admission stops there.  Rule (a) does not change the
+discovery order of the kept pairs either, as a pair whose estimate holds a
+state of U has only such successors.  So the verdict and the violation
+depth are those of the unpruned search at every k, and fewer product
+states are explored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 # INFINITE is re-exported: callers import the k bound from this module.
 from .automata import (  # noqa: F401
     INFINITE,
     Des,
     KBound,
-    Subsumption,
+    Projection,
     bounded_bfs,
     check_k,
     mask_of,
     observer,
     path_to,
-    product_successors,
     project,
-    universal,
+    states_of,
 )
 
 
@@ -75,10 +80,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class VerifyStats:
+    """Counters of one verification; ``--stats`` prints each field in order."""
+
     observer_states: int
     h_states: int
     product_states_explored: int
-    bfs_depth_reached: int
+    bfs_depth: int
 
 
 @dataclass(frozen=True)
@@ -92,17 +99,100 @@ class Verdict:
             raise ValueError("witness must be present exactly when not opaque")
 
 
+def universal(pg: Projection) -> int:
+    """The mask of the projection's universal states U, found by dropping
+    states until none is dropped; with no observable event, all of them."""
+    n = pg.state_count
+    offsets = range(0, n * len(pg.event_names), n)
+    kept = (1 << n) - 1
+    dropped = True
+    while dropped:
+        dropped = False
+        for q in states_of(kept):
+            row = pg.packed[q]
+            for offset in offsets:
+                if not (row >> offset) & kept:
+                    kept ^= 1 << q
+                    dropped = True
+                    break
+    return kept
+
+
+class Subsumption:
+    """The pairs kept so far in one product search, seeds first, and the
+    rules (a) and (b) that skip a pair given them."""
+
+    def __init__(self, universal: int):
+        self.universal = universal
+        self.dominating = []  # estimates of the kept pairs (p, Y) with p in U
+
+    def admit(self, states: int, z: int):
+        """Yield, in ascending order, each state q of the mask ``states``
+        whose pair (q, z) is kept: none when rule (a) or (b) skips z, and
+        none after the first universal q, whose pair is recorded for rule
+        (b).  A pair of a state outside U may be yielded again."""
+        universal = self.universal
+        if z & universal:
+            return
+        for y in self.dominating:
+            if not y & ~z:
+                return
+        while states:
+            low = states & -states
+            states ^= low
+            q = low.bit_length() - 1
+            if universal & low:
+                self.dominating.append(z)
+                yield q
+                return
+            yield q
+
+
+def product_successors(pg: Projection, kept: Subsumption) -> Callable:
+    """Successor function of the product of the projection with its full
+    observer, for one search whose seeds ``kept`` holds.
+
+    A vertex is (q, Z): a state and an estimate mask.  On event j it moves
+    to (q', Z') for every q' in event j's slice of ``pg.packed[q]``, where
+    Z' is event j's slice of ``pg.step(Z)``, as (j, vertex) pairs in event
+    order and then state order, and only those that ``kept`` admits.
+    Z = 0 is the empty estimate and stays 0.  Each expanded vertex is
+    stepped once.  It may yield a vertex again.  Being stateful, the
+    function serves one search.
+    """
+    packed = pg.packed
+    step = pg.step
+    n = pg.state_count
+    full = (1 << n) - 1
+    admit = kept.admit
+
+    def successors(vertex):
+        q, z = vertex
+        row = packed[q]
+        y = step(z)
+        j = 0
+        while row:
+            states = row & full
+            if states:
+                z2 = y & full
+                for q2 in admit(states, z2):
+                    yield j, (q2, z2)
+            row >>= n
+            y >>= n
+            j += 1
+
+    return successors
+
+
 def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> dict:
     """Product roots: (secret state q, nonsecret estimate Z) -> estimate X.
 
     One root per pair of a reachable estimate X (a key of the observer map
     ``obs``, which may be a prefix stopped at the first revealing estimate)
-    and secret state q in X, with Z = X & ``nonsecret`` (masks), unless
-    ``kept`` skips it; the pair keeps its first X.  Rule (a), Z holds a
-    universal state, and rule (b), an earlier root (p, Y) with p universal
-    has Y ⊆ Z, do not depend on q, so they are tested once per estimate.
-    Roots follow the observer's discovery order, so the estimate a root
-    maps to has a shortest observation, ties broken by event-table order.
+    and secret state q in X, with Z = X & ``nonsecret`` (masks), that
+    ``kept`` admits; the pair keeps its first X.  Roots follow the
+    observer's discovery order, so the estimate a root maps to has a
+    shortest observation, ties broken by event-table order.
     An estimate whose secret and nonsecret states equal an earlier one's
     gives the same roots, so it is skipped.  The roots end at the first
     revealing one (q, 0), where the product search stops; it comes from the

@@ -522,3 +522,18 @@ def test_des_validation():
             initial=frozenset({0}),
             state_names=("x", "x"),
         )
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_des_rejects_names_with_a_line_break(brk):
+    # the CLI prints one name per line: "s\nh_states=999" would forge a line
+    for name in (f"s{brk}h_states=999", f"s{brk}", f"{brk}s"):
+        with pytest.raises(ValueError, match="line break"):
+            Des(state_count=2, events=make_events(["a"]), transitions=frozenset(), initial=frozenset({0}),
+                state_names=(name, "x"))
+        with pytest.raises(ValueError, match="line break"):
+            make_events(["a", name])
+    # a tab, a space and the empty state name are no line breaks
+    des = Des(state_count=3, events=make_events(["a b", "c\td"]), transitions=frozenset(),
+              initial=frozenset({0}), state_names=("", "x y", "x\ty"))
+    assert des.state_names == ("", "x y", "x\ty")

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -27,6 +28,7 @@ from desopacity import (
     strong_to_weak,
     strong_violation_search,
     verify_strong,
+    verify_weak,
 )
 from desopacity.cli import build_parser, run
 from desopacity.desfile import DesFormatError
@@ -104,6 +106,17 @@ def test_parse_diagnostics():
         parse_des("[" * 200000)
 
 
+def rename(doc, kind, old, new):
+    """Rename state or event ``old`` to ``new`` everywhere in ``doc``."""
+    if kind == "event":
+        doc["events"] = [dict(e, name=new) if e["name"] == old else e for e in doc["events"]]
+        doc["transitions"] = [[p, new if e == old else e, q] for p, e, q in doc["transitions"]]
+        return
+    for key in ("states", "initial", "secret", "nonsecret"):
+        doc[key] = [new if s == old else s for s in doc[key]]
+    doc["transitions"] = [[new if p == old else p, e, new if q == old else q] for p, e, q in doc["transitions"]]
+
+
 MALFORMED = {
     "observable-string": ("observable", lambda doc: doc["events"][0].update(observable="false")),
     "observable-int": ("observable", lambda doc: doc["events"][0].update(observable=1)),
@@ -115,6 +128,9 @@ MALFORMED = {
     "transition-state-list": ("unknown state", lambda doc: doc.update(transitions=[[["1"], "a", "2"]])),
     "initial-state-list": ("unknown state", lambda doc: doc.update(initial=[["1"]])),
     "transition-event-list": ("unknown event", lambda doc: doc.update(transitions=[["1", ["a"], "2"]])),
+    # fig5's secret state "2", renamed, would print a forged stats line
+    "state-line-break": ("line break", lambda doc: rename(doc, "state", "2", "2\nh_states=999")),
+    "event-line-break": ("line break", lambda doc: rename(doc, "event", "a", "a\r")),
 }
 
 
@@ -199,10 +215,27 @@ def test_cli_verify_weak_witness_and_stats():
     assert lines[1] == "mu=a"
     assert lines[2] == "secret=2"
     assert lines[3] == "nu=b"
-    assert lines[4].startswith("observer_states=")
-    assert lines[5].startswith("h_states=")
-    assert lines[6].startswith("product_states_explored=")
-    assert lines[7].startswith("bfs_depth=")
+    assert lines[4:] == stats_lines(verify_weak(load_fixture("fig1"), 1))
+
+
+# the benchmark reads these --stats keys by name
+STATS_KEYS = ["observer_states", "h_states", "product_states_explored", "bfs_depth"]
+
+
+def stats_lines(verdict):
+    """The --stats block for ``verdict``: each stats field, in field order."""
+    stats = dataclasses.asdict(verdict.stats)
+    assert list(stats) == STATS_KEYS
+    return [f"{key}={value}" for key, value in stats.items()]
+
+
+def test_cli_verify_strong_witness_and_stats():
+    code, out = invoke(["verify-strong", "--input", fixture_path("fig5"), "--k", "1", "--witness", "--stats"])
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == "NOT_OPAQUE" and len(lines) == 8
+    assert [line.split("=", 1)[0] for line in lines[1:4]] == ["mu", "secret", "nu"]
+    assert lines[4:] == stats_lines(verify_strong(load_fixture("fig5"), 1))
 
 
 def test_cli_verify_weak_opaque():
@@ -258,11 +291,16 @@ def test_cli_normalize_and_transform(tmp_path):
     assert prime.state_count == 14
 
 
+def subprocess_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(resources.files("desopacity")).parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_file_io_does_not_use_the_locale_encoding(tmp_path):
     # under -X warn_default_encoding, an open() that falls back on the
     # locale's encoding warns, and -W error makes that warning an error
-    src = str(Path(resources.files("desopacity")).parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = subprocess_env()
     flags = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c"]
     cli_call = "import sys; from desopacity.cli import run; sys.exit(run(sys.argv[1:]))"
     norm, prime = str(tmp_path / "norm.des"), str(tmp_path / "prime.des")
@@ -456,6 +494,16 @@ def test_cli_k_accepts_only_ascii_digits_or_inf(k, capsys):
     for argv in (["verify-weak", "--input", fig1, "--k", k], ["bench", "--input", fig1, "--k-list", f"0,{k}"]):
         assert invoke(argv) == (2, ""), argv
         assert capsys.readouterr().err == f"error: invalid k: {k!r} (expected a nonnegative integer or 'inf')\n"
+
+
+def test_cli_runs_as_a_module():
+    env = subprocess_env()
+    module = [sys.executable, "-m", "desopacity.cli"]
+    done = subprocess.run(module + ["verify-weak", "--input", fixture_path("fig1"), "--k", "1"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "NOT_OPAQUE\n", "")
+    done = subprocess.run(module, env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == "" and done.stderr.startswith("usage: desopacity")
 
 
 def test_cli_main_exits_with_run_code(monkeypatch):

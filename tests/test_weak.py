@@ -389,7 +389,7 @@ def test_verify_weak_pruning_matches_unpruned_search():
             pruned_fewer += v.stats.product_states_explored < explored
             if not opaque:
                 violations += 1
-                assert v.stats.bfs_depth_reached == depth
+                assert v.stats.bfs_depth == depth
                 assert validate_weak_witness(des, k, v.witness)
     assert pruned_fewer > 0 and violations > 0
 
@@ -408,7 +408,7 @@ def test_universal_pruning_keeps_verdicts_on_fixtures_and_pools():
             v = verify_weak(des, k)
             assert v.opaque == (depth is None or depth > k)
             if not v.opaque:
-                assert v.stats.bfs_depth_reached == depth
+                assert v.stats.bfs_depth == depth
                 assert validate_weak_witness(des, k, v.witness)
             explored.append(v.stats.product_states_explored)
     assert sum(explored[-4 * len(reduced):]) <= 2500
@@ -482,7 +482,7 @@ def test_admission_is_linear_in_the_seeds_of_one_state():
             v = verify_weak(des, k)
             assert not v.opaque
             assert v.stats.product_states_explored == 2 ** (n - 1)
-            assert v.stats.bfs_depth_reached == 0
+            assert v.stats.bfs_depth == 0
             assert validate_weak_witness(des, k, v.witness)
 
 
