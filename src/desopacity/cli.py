@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import sys
 import time
 from pathlib import Path
@@ -41,14 +42,23 @@ def _load(path: str) -> Des:
     return parse_des(Path(path).read_text(encoding="utf-8"))
 
 
+def _word(names, alphabet) -> str:
+    """Event names as one line's value: joined bare when every name in
+    ``alphabet`` is one character, otherwise a JSON list, which parses back."""
+    if all(len(name) == 1 for name in alphabet):
+        return "".join(names)
+    return json.dumps(list(names))
+
+
 def _emit(opaque: bool, witness, des_for_names, out) -> int:
     """Print the verdict line and, if given, a (mu, secret state, nu) witness."""
     print("OPAQUE" if opaque else "NOT_OPAQUE", file=out)
     if witness is not None:
         mu, secret_state, nu = witness
-        print(f"mu={''.join(mu)}", file=out)
+        observable = [e.name for e in des_for_names.events.entries if e.observable]
+        print(f"mu={_word(mu, observable)}", file=out)
         print(f"secret={des_for_names.state_name(secret_state)}", file=out)
-        print(f"nu={''.join(nu)}", file=out)
+        print(f"nu={_word(nu, observable)}", file=out)
     return 0 if opaque else 1
 
 
@@ -103,7 +113,7 @@ def _cmd_oracle(args, out) -> int:
     s = strong_violation_search(des, k, bounds)
     code = _emit(s is None, None, des, out)
     if s is not None:
-        print(f"s={''.join(s)}", file=out)
+        print(f"s={_word(s, des.events.names)}", file=out)
     return code
 
 

@@ -1,12 +1,12 @@
 """Verification of strong k-step opacity by reduction to the weak verifier.
 
 Strong opacity is defined for deterministic systems without neutral states.
-A system that has unobservable transitions from secret to nonsecret states
-is first normalized (those transitions are redirected into a secret copy of
-the state space).  The normalized system is then transformed: a nonsecret
-copy of its nonsecret part is attached through a fresh unobservable event,
-all original states become secret, and weak k-step opacity of the result
-coincides with strong k-step opacity of the input.
+Every system is first normalized: unobservable transitions from secret to
+nonsecret states are redirected into a secret copy of the state space, and
+unreachable states are dropped.  The normalized system is then transformed:
+a nonsecret copy of its nonsecret part is attached through a fresh
+unobservable event, all original states become secret, and weak k-step
+opacity of the result coincides with strong k-step opacity of the input.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def normalize(des: Des) -> Des:
     remap = {old: new for new, old in enumerate(kept)}
     names, primes = _prime_names(des)
     names += primes
-    normalized = Des(
+    return Des(
         state_count=len(kept),
         events=des.events,
         transitions=frozenset((remap[p], e, remap[q]) for (p, e, q) in delta if p in remap),
@@ -103,8 +103,6 @@ def normalize(des: Des) -> Des:
         nonsecret=frozenset(remap[q] for q in kept if q in des.nonsecret),
         state_names=tuple(names[q] for q in kept),
     )
-    assert is_deterministic(normalized) and is_normal(normalized), "normalized system must be deterministic and normal"
-    return normalized
 
 
 def _fresh_event_name(events: EventTable) -> str:
@@ -153,11 +151,8 @@ def strong_to_weak(des: Des) -> ReductionResult:
 
 
 def reduce_to_weak(des: Des) -> tuple:
-    """Normalization (skipped for already-normal inputs) followed by the
-    strong-to-weak transformation.  Returns (normalized system or None,
-    reduction)."""
-    if is_normal(des):
-        return None, strong_to_weak(des)
+    """Normalization, which always runs, followed by the strong-to-weak
+    transformation.  Returns (normalized system, reduction)."""
     des_n = normalize(des)
     return des_n, strong_to_weak(des_n)
 
@@ -165,7 +160,8 @@ def reduce_to_weak(des: Des) -> tuple:
 def verify_strong(des: Des, k: KBound) -> Verdict:
     """Decide strong k-step opacity via the weak verifier.
 
-    The witness, if any, refers to the transformed system; its observation
+    The witness, if any, indexes ``strong_to_weak(normalize(des))``, which
+    drops the unreachable states even of a normal input; its observation
     strings are over the original observable alphabet.
     """
     _norm, reduction = reduce_to_weak(des)

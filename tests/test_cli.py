@@ -25,6 +25,7 @@ from desopacity import (
     project,
     reduce_to_weak,
     serialize_des,
+    strong,
     strong_to_weak,
     strong_violation_search,
     verify_strong,
@@ -238,6 +239,23 @@ def test_cli_verify_strong_witness_and_stats():
     assert lines[4:] == stats_lines(verify_strong(load_fixture("fig5"), 1))
 
 
+@pytest.mark.parametrize("name", ["fig5", "fig8"])  # non-normal, normal
+def test_cli_verify_strong_checks_each_input_rule_once_per_gate(name, monkeypatch):
+    # normalize's gate and strong_to_weak's gate each check determinism;
+    # only strong_to_weak's checks normality
+    calls = {"is_deterministic": 0, "is_normal": 0}
+    for fn_name in calls:
+        fn = getattr(strong, fn_name)
+
+        def counted(des, fn=fn, fn_name=fn_name):
+            calls[fn_name] += 1
+            return fn(des)
+
+        monkeypatch.setattr(strong, fn_name, counted)
+    assert invoke(["verify-strong", "--input", fixture_path(name), "--k", "1"]) == (1, "NOT_OPAQUE\n")
+    assert calls == {"is_deterministic": 2, "is_normal": 1}
+
+
 def test_cli_verify_weak_opaque():
     code, out = invoke(["verify-weak", "--input", fixture_path("fig2"), "--k", "1"])
     assert code == 0
@@ -420,6 +438,28 @@ def test_cli_oracle_strong():
     assert out.splitlines()[1].startswith("s=")
 
 
+def test_cli_witness_lines_parse_back_with_longer_event_names(tmp_path):
+    # 0 -a-> 1 -b-> 2 (secret), 0 -ab-> 3: joined bare, the observation
+    # (a, b) would print as the one-event observation (ab)
+    path = tmp_path / "ab.des"
+    path.write_text(json.dumps({
+        "states": ["0", "1", "2", "3"],
+        "initial": ["0"],
+        "secret": ["2"],
+        "events": [{"name": name, "observable": True} for name in ("a", "b", "ab")],
+        "transitions": [["0", "a", "1"], ["1", "b", "2"], ["0", "ab", "3"]],
+    }))
+    witness = ["NOT_OPAQUE", 'mu=["a", "b"]', "secret=2", "nu=[]"]
+    for kind in ("weak", "strong"):
+        code, out = invoke([f"verify-{kind}", "--input", str(path), "--k", "0", "--witness"])
+        assert (code, out.splitlines()) == (1, witness), kind
+    code, out = invoke(["oracle", "weak", "--input", str(path), "--k", "0", "--mu-max", "2", "--nu-max", "0"])
+    assert (code, out.splitlines()) == (1, witness)
+    code, out = invoke(["oracle", "strong", "--input", str(path), "--k", "0", "--mu-max", "2", "--nu-max", "0"])
+    assert (code, out.splitlines()) == (1, ["NOT_OPAQUE", 's=["a", "b"]'])
+    assert json.loads(out.splitlines()[1][2:]) == ["a", "b"]
+
+
 def test_cli_random_and_bench(tmp_path):
     out_file = tmp_path / "r.des"
     code, _ = invoke(
@@ -555,8 +595,12 @@ def _strong_output(des, verdict):
     return int(not verdict.opaque), "\n".join(lines) + "\n"
 
 
-def _oracle_output(s):
-    return (0, "OPAQUE\n") if s is None else (1, f"NOT_OPAQUE\ns={''.join(s)}\n")
+def _oracle_output(des, s):
+    if s is None:
+        return 0, "OPAQUE\n"
+    # the CLI's rule, restated: bare only when every event name is one character
+    word = "".join(s) if all(len(name) == 1 for name in des.events.names) else json.dumps(list(s))
+    return 1, f"NOT_OPAQUE\ns={word}\n"
 
 
 def test_strong_library_matches_cli_without_nonsecret(tmp_path):
@@ -575,7 +619,8 @@ def test_strong_library_matches_cli_without_nonsecret(tmp_path):
             argv = ["verify-strong", "--input", str(path), "--k", str(k), "--witness"]
             assert invoke(argv) == _expected(lambda: verify_strong(des, k), lambda v: _strong_output(des, v)), argv
             argv = ["oracle", "strong", "--input", str(path), "--k", str(k), "--mu-max", "8", "--nu-max", "0"]
-            assert invoke(argv) == _expected(lambda: strong_violation_search(des, k, bounds), _oracle_output), argv
+            expected = _expected(lambda: strong_violation_search(des, k, bounds), lambda s: _oracle_output(des, s))
+            assert invoke(argv) == expected, argv
         for command, compute in (
             ("normalize", lambda: normalize(des)),
             ("transform", lambda: strong_to_weak(des).des_prime),

@@ -293,11 +293,24 @@ def test_verify_strong_rejects_neutral_states():
         verify_strong(neutral, 1)
 
 
-def test_reduce_to_weak_skips_normalization_when_normal():
-    norm, _reduction = reduce_to_weak(load_fixture("fig8"))
-    assert norm is None
-    norm5, _ = reduce_to_weak(load_fixture("fig5"))
-    assert norm5 is not None
+def test_reduce_to_weak_always_normalizes():
+    for name in ("fig5", "fig6", "fig8", "fig10"):
+        des = load_fixture(name)
+        assert reduce_to_weak(des)[0] == normalize(des)
+    # a fully reachable normal input reduces as if normalization were skipped
+    for name in ("fig8", "fig10"):
+        des = load_fixture(name)
+        assert reduce_to_weak(des)[1].des_prime == strong_to_weak(des).des_prime
+
+
+def test_normalize_gives_a_deterministic_normal_system():
+    # reduce_to_weak hands normalize's result straight to strong_to_weak
+    systems = pinned_pool("strong_reduction")
+    systems += [random_det_instance(seed, n=8 + seed % 33, obs=2, unobs=2, density=0.7) for seed in range(200)]
+    assert sum(not is_normal(des) for des in systems) >= 150
+    for des in systems:
+        des_n = normalize(des)
+        assert is_deterministic(des_n) and is_normal(des_n)
 
 
 def test_observer_counts_preserved_for_normal_inputs():
