@@ -10,11 +10,11 @@ off the observer's and the product's search maps by one walk, ``path_to``.
 
 The observer search itself ends at its first revealing estimate, one with
 a secret state and no nonsecret state.  Its map is then the full observer's
-discovery order up to that estimate, seeding over it ends at that
-estimate's revealing root as it would over the full map, and the product
-search stops at that root at once.  So only ``observer_states`` depends on
-the early stop: it counts the estimates discovered, up to and including the
-first revealing one.
+discovery order up to that estimate, so the roots seeded over it are those
+of the full map up to that estimate's pairs, the first revealing root among
+them, and the product search stops at that root at once.  So only
+``observer_states`` depends on the early stop: it counts the estimates
+discovered, up to and including the first revealing one.
 
 Both the seeds and the product search skip pairs through one
 ``Subsumption``.  Let U be the projection's universal states: the greatest
@@ -126,26 +126,22 @@ class Subsumption:
         self.universal = universal
         self.dominating = []  # estimates of the kept pairs (p, Y) with p in U
 
-    def admit(self, states: int, z: int):
-        """Yield, in ascending order, each state q of the mask ``states``
-        whose pair (q, z) is kept: none when rule (a) or (b) skips z, and
-        none after the first universal q, whose pair is recorded for rule
-        (b).  A pair of a state outside U may be yielded again."""
+    def admit(self, states: int, z: int) -> int:
+        """The mask of the states q of the mask ``states`` whose pair (q, z)
+        is kept: 0 when rule (a) or (b) skips z, else the states up to and
+        including the lowest universal one, whose pair is recorded for rule
+        (b).  A pair of a state outside U may be admitted again."""
         universal = self.universal
         if z & universal:
-            return
+            return 0
         for y in self.dominating:
             if not y & ~z:
-                return
-        while states:
-            low = states & -states
-            states ^= low
-            q = low.bit_length() - 1
-            if universal & low:
-                self.dominating.append(z)
-                yield q
-                return
-            yield q
+                return 0
+        u = states & universal
+        if u:
+            self.dominating.append(z)
+            states &= (u & -u) * 2 - 1
+        return states
 
 
 def product_successors(pg: Projection, kept: Subsumption) -> Callable:
@@ -175,7 +171,7 @@ def product_successors(pg: Projection, kept: Subsumption) -> Callable:
             states = row & full
             if states:
                 z2 = y & full
-                for q2 in admit(states, z2):
+                for q2 in states_of(admit(states, z2)):
                     yield j, (q2, z2)
             row >>= n
             y >>= n
@@ -194,10 +190,7 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> 
     observer's discovery order, so the estimate a root maps to has a
     shortest observation, ties broken by event-table order.
     An estimate whose secret and nonsecret states equal an earlier one's
-    gives the same roots, so it is skipped.  The roots end at the first
-    revealing one (q, 0), where the product search stops; it comes from the
-    first revealing estimate, so a prefix of ``obs`` that ends there gives
-    the same roots as all of it.
+    gives the same roots, so it is skipped.
     """
     seeds = {}
     harvested = set()  # X & (secret | nonsecret) of the estimates seen
@@ -209,10 +202,8 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> 
             continue
         harvested.add(key)
         z = x & nonsecret
-        for q in kept.admit(secrets, z):
+        for q in states_of(kept.admit(secrets, z)):
             seeds.setdefault((q, z), x)
-            if not z:
-                return seeds
     return seeds
 
 

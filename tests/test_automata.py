@@ -321,7 +321,7 @@ def _product(pg, seeds):
     """The product's successor function for one search from ``seeds``."""
     kept = Subsumption(universal(pg))
     for q, z in seeds:
-        assert list(kept.admit(1 << q, z)) == [q]
+        assert states_of(kept.admit(1 << q, z)) == (q,)
     return product_successors(pg, kept)
 
 
@@ -360,21 +360,49 @@ def test_product_step_requires_projected_input():
 
 
 def test_admit_applies_only_the_universal_rules():
-    # state 3 is universal.  Pairs that neither rule skips are all yielded,
-    # exact repeats included, in ascending state order; the search that
-    # consumes them drops the repeats
+    # state 3 is universal.  Pairs that neither rule skips are all admitted,
+    # exact repeats included; the search that consumes them drops the
+    # repeats
     y, z = mask_of({0}), mask_of({0, 1})
     kept = Subsumption(universal=mask_of({3}))
-    assert list(kept.admit(mask_of({2}), mask_of({0, 3}))) == []  # rule (a)
-    assert list(kept.admit(mask_of({2}), z)) == [2]
-    assert list(kept.admit(mask_of({1, 2}), z)) == [1, 2]  # (2, z) again
-    assert list(kept.admit(mask_of({2}), y)) == [2]  # y ⊆ z does not matter
+
+    def admit(states, estimate):
+        return list(states_of(kept.admit(states, estimate)))
+
+    assert admit(mask_of({2}), mask_of({0, 3})) == []  # rule (a)
+    assert admit(mask_of({2}), z) == [2]
+    assert admit(mask_of({1, 2}), z) == [1, 2]  # (2, z) again
+    assert admit(mask_of({2}), y) == [2]  # y ⊆ z does not matter
     # the first universal state is kept, and the states after it are not
-    assert list(kept.admit(mask_of({0, 1, 3, 4}), y)) == [0, 1, 3]
+    assert admit(mask_of({0, 1, 3, 4}), y) == [0, 1, 3]
     assert kept.dominating == [y]
-    assert list(kept.admit(mask_of({3}), y)) == []  # repeat of a universal pair
-    assert list(kept.admit(mask_of({1, 2}), z)) == []  # rule (b): y ⊆ z
-    assert list(kept.admit(mask_of({1}), mask_of({1}))) == [1]  # y ⊄ {1}
+    assert admit(mask_of({3}), y) == []  # repeat of a universal pair
+    assert admit(mask_of({1, 2}), z) == []  # rule (b): y ⊆ z
+    assert admit(mask_of({1}), mask_of({1})) == [1]  # y ⊄ {1}
+
+
+STATE_SETS = st.frozensets(st.integers(0, 5))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(STATE_SETS, st.lists(st.tuples(STATE_SETS, STATE_SETS), max_size=12))
+def test_admit_matches_its_contract(u, calls):
+    # one Subsumption over a sequence of calls, against the contract read
+    # literally on sets: z is skipped if it meets U or holds a recorded
+    # estimate; otherwise the states are kept in ascending order up to and
+    # including the first one in U, and z is recorded iff there is one
+    kept = Subsumption(universal=mask_of(u))
+    recorded = []
+    for states, z in calls:
+        expected = []
+        if not z & u and not any(y <= z for y in recorded):
+            for q in sorted(states):
+                expected.append(q)
+                if q in u:
+                    recorded.append(z)
+                    break
+        assert kept.admit(mask_of(states), mask_of(z)) == mask_of(expected)
+        assert kept.dominating == [mask_of(y) for y in recorded]
 
 
 def _oracle_row_successors(rows, kept):
@@ -385,7 +413,7 @@ def _oracle_row_successors(rows, kept):
         q, z = vertex
         for j, row in enumerate(rows):
             z2 = union_rows(row, z)
-            for q2 in kept.admit(row[q], z2):
+            for q2 in states_of(kept.admit(row[q], z2)):
                 yield j, (q2, z2)
 
     return successors

@@ -9,7 +9,8 @@ depth, so one run at k = inf decides every k, and that depth equals the
 two-way observer's, a check independent of the product search; the
 strong violation depth equals that of a two-way check independent of the
 reduction.  The observer that ``verify_weak`` stops at the first
-revealing estimate is a prefix of the full one, and gives the same seeds.
+revealing estimate is a prefix of the full one, and its seeds are a prefix
+of the full one's that ends at the first revealing seed's estimate.
 """
 
 import random
@@ -26,6 +27,7 @@ from desopacity import (
     observer,
     project,
     reduce_to_weak,
+    states_of,
     universal,
     verify_strong,
     verify_weak,
@@ -159,7 +161,20 @@ def _check_stopped_observer(des):
     assert stopped == full[: len(full) if first is None else first + 1]
     secret, nonsecret, u = mask_of(des.secret), mask_of(des.nonsecret), universal(pg)
     seeds = list(compute_seeds(dict(stopped), secret, nonsecret, Subsumption(u)).items())
-    assert seeds == list(compute_seeds(dict(full), secret, nonsecret, Subsumption(u)).items())
+    full_seeds = list(compute_seeds(dict(full), secret, nonsecret, Subsumption(u)).items())
+    assert seeds == full_seeds[: len(seeds)]
+    if first is None:
+        return
+    # the stopped seeds end with the revealing estimate's pairs (q, 0), its
+    # secret states up to the first universal one; the first of them is the
+    # full seeds' first revealing pair, where the product search stops
+    x = full[first][0]
+    tail = [pair for pair, root in seeds if root == x]
+    secrets = states_of(x & secret)
+    cut = next((i for i, q in enumerate(secrets) if u >> q & 1), len(secrets) - 1)
+    assert tail == [(q, 0) for q in secrets[: cut + 1]]
+    assert [pair for pair, _root in seeds[-len(tail):]] == tail
+    assert next(pair for pair, _root in full_seeds if not pair[1]) == tail[0]
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -131,9 +131,10 @@ def test_compute_seeds_keeps_the_first_root_of_a_pair():
     assert validate_weak_witness(des, INFINITE, v.witness)
 
 
-def test_compute_seeds_stops_at_first_revealing_seed():
+def test_compute_seeds_puts_the_first_revealing_seed_first():
     # "1" -a-> {"2"} reveals secret "2" at once; the estimate {"4","5"}
-    # behind "1" -b-> "3" -a-> would give the seed ("4", {"5"}) after it
+    # behind "1" -b-> "3" -a-> gives the seed ("4", {"5"}) after it, past
+    # the revealing seed where the product search stops
     des = Des(
         state_count=5,
         events=make_events(["a", "b"]),
@@ -142,18 +143,11 @@ def test_compute_seeds_stops_at_first_revealing_seed():
         secret=frozenset({1, 3}),
         nonsecret=frozenset({0, 2, 4}),
     )
-    obs = observer(project(des))
-    assert mask_of({3, 4}) in obs
-    consumed = []
-
-    def walk():
-        for x in obs:
-            consumed.append(x)
-            yield x
-
-    _obs, seeds = _seeds(des, walk())
+    _obs, seeds = _seeds(des)
+    assert list(seeds.items()) == [((1, 0), mask_of({1})), ((3, mask_of({4})), mask_of({3, 4}))]
+    # the observer that verify_weak builds stops at {"2"}, and so do its seeds
+    _obs, seeds = _seeds(des, observer(project(des), stop=revealing_estimate(des)))
     assert seeds == {(1, 0): mask_of({1})}
-    assert consumed[-1] == mask_of({1}) and len(consumed) < len(obs)
 
 
 def test_shortest_observations_event_order_tiebreak():
