@@ -15,8 +15,10 @@ kernel tables, for each block of 8 states, the union of their packed rows
 over all 256 subsets of the block, so stepping an estimate ORs one lookup
 per 8 states and reads each event's successor off with a shift and a mask.
 The observer, the weak verifier's product and the DOT export step
-through this kernel.  Both searches run on ``bounded_bfs``, and
-``path_to`` reads a path off either.
+through this kernel.  The observer runs its own breadth-first loop and
+records only each estimate's parent estimate, from which ``observation``
+reads an observation back; the product runs on the level-bounded
+``bounded_bfs``, whose parent links ``path_to`` reads.
 """
 
 from __future__ import annotations
@@ -325,39 +327,59 @@ def path_to(marked: dict, v) -> tuple:
     return v, tuple(labels)
 
 
-def estimate_successors(pg: Projection) -> Callable:
-    """Successor function of the observer: for an estimate x, the (event
-    index, estimate) pairs of its nonempty steps, in event order, each read
-    off one packed ``pg.step(x)``."""
-    step = pg.step
-    n = pg.state_count
-    full = (1 << n) - 1
-
-    def successors(x):
-        y = step(x)
-        j = 0
-        while y:
-            z = y & full
-            if z:
-                yield j, z
-            y >>= n
-            j += 1
-
-    return successors
-
-
 def observer(pg: Projection, stop: Optional[Callable] = None) -> dict:
     """Subset construction over the projection's kernel, reachable part only.
 
-    Maps each nonempty estimate (a mask) to its BFS parent link (parent
-    estimate, event index), or None for the initial estimate, in discovery
-    order.  So the initial estimate comes first, and ``path_to`` gives a
-    shortest observation reaching an estimate, ties broken by event-table
-    order.  The empty estimate is never stored.  If ``stop(x)`` holds for a
-    discovered estimate x, the search ends there: the map is the full
-    observer's discovery order up to and including x (``bounded_bfs``).
+    Maps each nonempty estimate (a mask) to its BFS parent, the estimate it
+    was first stepped from, or None for the initial estimate, in discovery
+    order.  Each estimate is stepped once, and its successors are taken in
+    event order, so the initial estimate comes first, and ``observation``
+    reads off a shortest observation reaching an estimate, ties broken by
+    event-table order.  The empty estimate is never stored.  If ``stop(x)``
+    holds for a discovered estimate x, the search ends there: the map is
+    the full observer's discovery order up to and including x.
     """
-    return bounded_bfs(estimate_successors(pg), (pg.initial,), INFINITE, stop)[0]
+    step = pg.step
+    n = pg.state_count
+    full = (1 << n) - 1
+    x = pg.initial
+    parents = {x: None}
+    if stop is not None and stop(x):
+        return parents
+    queue = [x]  # parents' keys, read in order while the search appends
+    for x in queue:
+        y = step(x)
+        while y:
+            z = y & full
+            if z and z not in parents:
+                parents[z] = x
+                if stop is not None and stop(z):
+                    return parents
+                queue.append(z)
+            y >>= n
+    return parents
+
+
+def observation(pg: Projection, obs: dict, x: int) -> tuple:
+    """The event indices of the observation that the observer map ``obs``
+    records for its estimate ``x``: along the parent chain from the initial
+    estimate, each edge's event is the first whose slice of the parent's
+    step is the child.  The observer steps a parent once and takes its
+    successors in event order, so that is the event the child was found on.
+    """
+    n = pg.state_count
+    full = (1 << n) - 1
+    events = []
+    parent = obs[x]
+    while parent is not None:
+        y = pg.step(parent)
+        j = 0
+        while (y >> j * n) & full != x:
+            j += 1
+        events.append(j)
+        x, parent = parent, obs[parent]
+    events.reverse()
+    return tuple(events)
 
 
 def is_deterministic(des: Des) -> bool:

@@ -5,8 +5,9 @@ the observer, then runs a level-bounded breadth-first search over the
 product of the projected automaton with the full-observer dynamics.  The
 system is opaque iff no product state with an empty estimate is reachable
 from a seed within k observable steps.  The search stops at the first such
-state it discovers.  The witness's observation and continuation are read
-off the observer's and the product's search maps by one walk, ``path_to``.
+state it discovers.  The witness's continuation is read off the product's
+search map by ``path_to``, and its observation off the observer's parent
+estimates by ``observation``.
 
 The observer search itself ends at its first revealing estimate, one with
 a secret state and no nonsecret state.  Its map is then the full observer's
@@ -58,6 +59,7 @@ from .automata import (  # noqa: F401
     bounded_bfs,
     check_k,
     mask_of,
+    observation,
     observer,
     path_to,
     project,
@@ -237,6 +239,6 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
         return Verdict(True, None, stats)
     root, nu = path_to(marked, v)
     x = roots[root]
-    _initial, mu = path_to(obs, x)
+    mu = observation(pg, obs, x)
     names = pg.event_names
     return Verdict(False, Witness(tuple(names[j] for j in mu), root[0], tuple(names[j] for j in nu), x), stats)

@@ -7,6 +7,7 @@ from collections import deque
 from pathlib import Path
 
 from desopacity import INFINITE, Des, is_deterministic, mask_of
+from desopacity.automata import union_rows
 from desopacity.oracle import GeneratorParams, OracleBounds, _event_adj, random_des, simulate_observation
 
 
@@ -58,12 +59,17 @@ def pinned_pool(workload):
     return [_benchmark_workloads().build_instance(entry) for entry in entries]
 
 
+def benchmark_nth_letter(n):
+    """The benchmark's ``nth_letter_des(n)``, read-only."""
+    return _benchmark_workloads().nth_letter_des(n)
+
+
 def neutral_start_nth_letter(n):
     """The benchmark's ``nth_letter_des(n)`` with state 0 neutral and states
     1..n-1 nonsecret: state 0 is universal but no longer nonsecret, so
     every estimate holding the secret state n seeds its own pair (n, Z),
     2^(n-1) distinct seeds of one state."""
-    return dataclasses.replace(_benchmark_workloads().nth_letter_des(n), nonsecret=frozenset(range(1, n)))
+    return dataclasses.replace(benchmark_nth_letter(n), nonsecret=frozenset(range(1, n)))
 
 
 def revealing_estimate(des):
@@ -71,6 +77,31 @@ def revealing_estimate(des):
     secret state and no nonsecret one."""
     secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
     return lambda x: bool(x & secret and not x & nonsecret)
+
+
+def reference_observer(pg, stop=None):
+    """The observer as a plain BFS over ``pg.packed``: an estimate x steps
+    to event j's slice of ``union_rows(pg.packed, x)``, not through the
+    kernel tables.  Maps each nonempty estimate to its (parent estimate,
+    event index) link, or None for the initial one, in discovery order, and
+    ends at the first discovered estimate where ``stop`` holds."""
+    n = pg.state_count
+    full = (1 << n) - 1
+    marked = {pg.initial: None}
+    if stop is not None and stop(pg.initial):
+        return marked
+    queue = deque([pg.initial])
+    while queue:
+        x = queue.popleft()
+        y = union_rows(pg.packed, x)
+        for j in range(len(pg.event_names)):
+            z = y >> j * n & full
+            if z and z not in marked:
+                marked[z] = (x, j)
+                if stop is not None and stop(z):
+                    return marked
+                queue.append(z)
+    return marked
 
 
 def oracle_rows(des):

@@ -21,10 +21,18 @@ from desopacity import (
     states_of,
     universal,
 )
-from desopacity.automata import path_to, union_rows
+from desopacity.automata import observation, path_to, union_rows
 from desopacity.oracle import simulate_observation
 
-from conftest import language_equivalent, oracle_rows, random_det_instance, random_weak_instance
+from conftest import (
+    language_equivalent,
+    neutral_start_nth_letter,
+    oracle_rows,
+    random_det_instance,
+    random_weak_instance,
+    reference_observer,
+    revealing_estimate,
+)
 
 
 def _adjacency(des):
@@ -141,7 +149,7 @@ def test_observer_matches_direct_simulation():
         obs = observer(pg)
         names = list(pg.event_names)
         for x in obs:
-            mu = [names[j] for j in path_to(obs, x)[1]]
+            mu = [names[j] for j in observation(pg, obs, x)]
             assert x == mask_of(simulate_observation(des, des.initial, mu))
         if not names:
             continue
@@ -152,6 +160,43 @@ def test_observer_matches_direct_simulation():
                 x = event_slice(pg, pg.step(x), names.index(name))
                 assert x == 0 or x in obs
             assert x == mask_of(simulate_observation(des, des.initial, mu))
+
+
+def _check_observer_against_reference(des):
+    # the same keys in the same order and the same parent estimates as a
+    # plain BFS, with and without the stop, and each estimate's observation
+    # read back is the event string the BFS recorded
+    pg = project(des)
+    for stop in (None, revealing_estimate(des)):
+        obs = observer(pg, stop=stop)
+        reference = reference_observer(pg, stop=stop)
+        assert list(obs) == list(reference)
+        assert list(obs.values()) == [link and link[0] for link in reference.values()]
+        for x in obs:
+            assert observation(pg, obs, x) == path_to(reference, x)[1]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig5", "fig6", "fig8", "fig10"])
+def test_observer_matches_reference_on_fixtures(name):
+    _check_observer_against_reference(load_fixture(name))
+
+
+def test_observer_matches_reference_on_nth_letter():
+    # the 2^10 estimates of the n-th-letter-from-the-end NFA
+    _check_observer_against_reference(neutral_start_nth_letter(10))
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_observer_matches_reference_on_random_weak_systems(n):
+    for seed in range(10):
+        for obs in (2, 3):
+            _check_observer_against_reference(random_weak_instance(seed, n=n, obs=obs))
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_observer_matches_reference_on_transformed_systems(n):
+    for seed in range(10):
+        _check_observer_against_reference(reduce_to_weak(random_det_instance(seed, n=n))[1].des_prime)
 
 
 def test_observer_state_bound():

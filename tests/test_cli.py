@@ -31,11 +31,12 @@ from desopacity import (
     verify_strong,
     verify_weak,
 )
+from desopacity.automata import union_rows
 from desopacity.cli import build_parser, run
 from desopacity.desfile import DesFormatError
 from desopacity.dot import observer_to_dot
 
-from conftest import random_det_instance, random_weak_instance
+from conftest import benchmark_nth_letter, random_det_instance, random_weak_instance, reference_observer
 
 FIXTURES = ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")
 
@@ -381,6 +382,28 @@ def test_cli_observer_dot(tmp_path):
     code, _ = invoke(["observer", "--input", fixture_path("fig2"), "--dot", str(dot_file)])
     assert code == 0
     assert dot_file.read_text() == FIG2_OBSERVER_DOT
+
+
+@pytest.mark.parametrize("des", [load_fixture("fig2"), benchmark_nth_letter(6)], ids=["fig2", "nth_letter_6"])
+def test_observer_dot_matches_reference_observer(des):
+    # the edges are each estimate's nonempty slices of its union of packed
+    # rows, in event order, numbered by a plain BFS's discovery order
+    pg = project(des)
+    n = pg.state_count
+    index = {x: i for i, x in enumerate(reference_observer(pg))}
+    lines = ['digraph "observer" {', "  rankdir=LR;", '  __init [shape=point, label=""];']
+    for x, i in index.items():
+        label = ",".join(des.state_name(q) for q in range(n) if x >> q & 1)
+        lines.append(f'  s{i} [shape=circle, label="{{{label}}}"];')
+    lines.append("  __init -> s0;")
+    for x, i in index.items():
+        y = union_rows(pg.packed, x)
+        for j, name in enumerate(pg.event_names):
+            z = y >> j * n & ((1 << n) - 1)
+            if z:
+                lines.append(f'  s{i} -> s{index[z]} [label="{name}"];')
+    lines.append("}")
+    assert observer_to_dot(des) == "\n".join(lines) + "\n"
 
 
 def test_cli_verify_weak_dot_export(tmp_path):

@@ -22,7 +22,7 @@ from desopacity import (
     verify_weak,
 )
 from desopacity import weak
-from desopacity.automata import path_to, union_rows
+from desopacity.automata import observation, path_to, union_rows
 from desopacity.oracle import simulate_observation, validate_weak_witness, weak_violation_search
 from desopacity.weak import Verdict, VerifyStats, check_k
 
@@ -46,8 +46,8 @@ def _seeds(des, obs=None):
 
 def _observation(des, obs, x):
     """The observation the observer map records for estimate x, as event names."""
-    names = project(des).event_names
-    return tuple(names[j] for j in path_to(obs, x)[1])
+    pg = project(des)
+    return tuple(pg.event_names[j] for j in observation(pg, obs, x))
 
 
 def test_check_k():
