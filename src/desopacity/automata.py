@@ -14,11 +14,14 @@ observable event, event j's at bit offset j·n for n states.  The step
 kernel tables, for each block of 8 states, the union of their packed rows
 over all 256 subsets of the block, so stepping an estimate ORs one lookup
 per 8 states and reads each event's successor off with a shift and a mask.
-The observer, the weak verifier's product and the DOT export step
-through this kernel.  The observer runs its own breadth-first loop and
-records only each estimate's parent estimate, from which ``observation``
-reads an observation back; the product runs on the level-bounded
-``bounded_bfs``, whose parent links ``path_to`` reads.
+With 9 to 16 states, two tables, the step is two lookups ORed, with no
+loop.  The observer, the weak verifier's product and the DOT
+export step through this kernel.  The observer runs its own breadth-first
+loop and records only each estimate's parent estimate, from which
+``observation`` reads an observation back; it stops at the first estimate
+that meets a ``secret`` mask and misses a ``nonsecret`` mask, tested
+inline.  The product runs on the level-bounded ``bounded_bfs``, whose
+parent links ``path_to`` reads.
 """
 
 from __future__ import annotations
@@ -36,14 +39,20 @@ BLOCK = 8
 BYTE = (1 << BLOCK) - 1
 
 
-def _check_one_line(names: tuple) -> None:
-    """Reject a name that holds a line break: the CLI prints each name
-    inside one line of its line-based output.  Some name holds one iff the
-    names joined do, so names without one cost one scan."""
+def _check_names(names: tuple) -> None:
+    """Reject a name that holds a line break or does not encode as UTF-8
+    (a lone surrogate): the CLI prints each name inside one line of its
+    UTF-8 output.  Some name fails a test iff the names joined do, so valid
+    names cost one scan of the joined names per test."""
     joined = "".join(names)
     if joined.splitlines() not in ([], [joined]):
         bad = next(name for name in names if name.splitlines() not in ([], [name]))
         raise ValueError(f"name {bad!r} contains a line break")
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = next(name for name in names if exc.object[exc.start] in name)
+        raise ValueError(f"name {bad!r} does not encode as UTF-8") from None
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,8 @@ class Event:
 @dataclass(frozen=True)
 class EventTable:
     """Ordered alphabet with an observability flag per event: at least one
-    event, names nonempty, distinct and without a line break."""
+    event, names nonempty, distinct, without a line break and encodable as
+    UTF-8."""
 
     entries: tuple
 
@@ -69,7 +79,7 @@ class EventTable:
             if e.name in seen:
                 raise ValueError(f"duplicate event name: {e.name!r}")
             seen.add(e.name)
-        _check_one_line(self.names)
+        _check_names(self.names)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -107,10 +117,10 @@ class Des:
     States are indices 0..state_count-1, named ``str(q)`` unless
     ``state_names`` is given.  Construction checks the model's rules,
     raising ``ValueError``: at least one state, distinct state names
-    without a line break, a nonempty initial set, indices in range, and
-    disjoint ``secret`` and ``nonsecret``; states in neither set are
-    neutral.  The event table checks its own rules.  Immutable after
-    construction.
+    without a line break and encodable as UTF-8, a nonempty initial set,
+    indices in range, and disjoint ``secret`` and ``nonsecret``; states in
+    neither set are neutral.  The event table checks its own rules.
+    Immutable after construction.
     """
 
     state_count: int
@@ -144,7 +154,7 @@ class Des:
             raise ValueError("state_names length must match state_count")
         if len(set(self.state_names)) != n:
             raise ValueError("duplicate state name")
-        _check_one_line(self.state_names)
+        _check_names(self.state_names)
 
     def state_name(self, q: int) -> str:
         return self.state_names[q]
@@ -225,6 +235,9 @@ def _step_kernel(packed: tuple) -> Callable[[int], int]:
 
     A block's table maps each byte of the estimate to the union of the
     packed rows of its states; it is built by doubling, one state per pass.
+    With two tables (9 to 16 states) the step has no loop: one lookup per
+    byte ORed.  An estimate holds no state beyond ``len(packed)``, so the
+    high byte needs no mask.
     """
     tables = []
     for base in range(0, len(packed), BLOCK):
@@ -232,6 +245,14 @@ def _step_kernel(packed: tuple) -> Callable[[int], int]:
         for row in packed[base:base + BLOCK]:
             table += [v | row for v in table]
         tables.append(table)
+
+    if len(tables) == 2:
+        low, high = tables
+
+        def step(mask: int) -> int:
+            return low[mask & BYTE] | high[mask >> BLOCK]
+
+        return step
 
     def step(mask: int) -> int:
         out = 0
@@ -327,7 +348,7 @@ def path_to(marked: dict, v) -> tuple:
     return v, tuple(labels)
 
 
-def observer(pg: Projection, stop: Optional[Callable] = None) -> dict:
+def observer(pg: Projection, secret: int = 0, nonsecret: int = 0) -> dict:
     """Subset construction over the projection's kernel, reachable part only.
 
     Maps each nonempty estimate (a mask) to its BFS parent, the estimate it
@@ -335,16 +356,19 @@ def observer(pg: Projection, stop: Optional[Callable] = None) -> dict:
     order.  Each estimate is stepped once, and its successors are taken in
     event order, so the initial estimate comes first, and ``observation``
     reads off a shortest observation reaching an estimate, ties broken by
-    event-table order.  The empty estimate is never stored.  If ``stop(x)``
-    holds for a discovered estimate x, the search ends there: the map is
-    the full observer's discovery order up to and including x.
+    event-table order.  The empty estimate is never stored.  The search
+    ends at the first discovered estimate x that meets the mask ``secret``
+    and misses the mask ``nonsecret``: the map is then the full observer's
+    discovery order up to and including x.  With the default masks it
+    never ends early.
     """
     step = pg.step
     n = pg.state_count
     full = (1 << n) - 1
     x = pg.initial
     parents = {x: None}
-    if stop is not None and stop(x):
+    # the nonsecret test first: most estimates hold a nonsecret state
+    if not x & nonsecret and x & secret:
         return parents
     queue = [x]  # parents' keys, read in order while the search appends
     for x in queue:
@@ -353,7 +377,7 @@ def observer(pg: Projection, stop: Optional[Callable] = None) -> dict:
             z = y & full
             if z and z not in parents:
                 parents[z] = x
-                if stop is not None and stop(z):
+                if not z & nonsecret and z & secret:
                     return parents
                 queue.append(z)
             y >>= n

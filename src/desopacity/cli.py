@@ -50,25 +50,33 @@ def _word(names, alphabet) -> str:
     return json.dumps(list(names))
 
 
-def _emit(opaque: bool, witness, des_for_names, out) -> int:
-    """Print the verdict line and, if given, a (mu, secret state, nu) witness."""
-    print("OPAQUE" if opaque else "NOT_OPAQUE", file=out)
+def _stats_fields(stats) -> list:
+    """``name=value`` for each field of a ``VerifyStats``, in field order."""
+    return [f"{f.name}={getattr(stats, f.name)}" for f in dataclasses.fields(stats)]
+
+
+def _emit(opaque: bool, witness, des_for_names, out, extra=()) -> int:
+    """Print the verdict line, then, if given, a (mu, secret state, nu)
+    witness, then the lines ``extra``.  The output is rendered in full and
+    written at once, so an error while rendering it writes nothing."""
+    lines = ["OPAQUE" if opaque else "NOT_OPAQUE"]
     if witness is not None:
         mu, secret_state, nu = witness
         observable = [e.name for e in des_for_names.events.entries if e.observable]
-        print(f"mu={_word(mu, observable)}", file=out)
-        print(f"secret={des_for_names.state_name(secret_state)}", file=out)
-        print(f"nu={_word(nu, observable)}", file=out)
+        lines += [
+            f"mu={_word(mu, observable)}",
+            f"secret={des_for_names.state_name(secret_state)}",
+            f"nu={_word(nu, observable)}",
+        ]
+    lines += extra
+    out.write("\n".join(lines) + "\n")
     return 0 if opaque else 1
 
 
 def _emit_verdict(verdict, des_for_names, args, out) -> int:
     w = verdict.witness if args.witness else None
-    code = _emit(verdict.opaque, w and (w.mu, w.secret_state, w.nu), des_for_names, out)
-    if args.stats:
-        for f in dataclasses.fields(verdict.stats):
-            print(f"{f.name}={getattr(verdict.stats, f.name)}", file=out)
-    return code
+    stats = _stats_fields(verdict.stats) if args.stats else ()
+    return _emit(verdict.opaque, w and (w.mu, w.secret_state, w.nu), des_for_names, out, stats)
 
 
 def _cmd_verify_weak(args, out) -> int:
@@ -111,10 +119,7 @@ def _cmd_oracle(args, out) -> int:
         found = weak_violation_search(des, k, bounds)
         return _emit(found is None, found, des, out)
     s = strong_violation_search(des, k, bounds)
-    code = _emit(s is None, None, des, out)
-    if s is not None:
-        print(f"s={_word(s, des.events.names)}", file=out)
-    return code
+    return _emit(s is None, None, des, out, () if s is None else [f"s={_word(s, des.events.names)}"])
 
 
 def _cmd_random(args, out) -> int:
@@ -138,16 +143,14 @@ def _cmd_bench(args, out) -> int:
         raise ValueError("--repeat must be at least 1")
     for k in ks:
         best = None
-        explored = None
         for _ in range(args.repeat):
             start = time.perf_counter()
             verdict = verify_weak(des, k)
             elapsed = time.perf_counter() - start
             if best is None or elapsed < best:
                 best = elapsed
-            explored = verdict.stats.product_states_explored
         label = "inf" if k is INFINITE else str(k)
-        print(f"k={label} time={best:.6f}s product_states_explored={explored}", file=out)
+        print(f"k={label} time={best:.6f}s", *_stats_fields(verdict.stats), file=out)
     return 0
 
 

@@ -27,7 +27,8 @@ class DesFormatError(ValueError):
 def parse_des(text: str) -> Des:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+    # ValueError: also an integer too long to convert; RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise DesFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DesFormatError("document must be a JSON object")

@@ -223,9 +223,8 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
     k = check_k(k)
     secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
     pg = project(des)
-    # a revealing estimate: no nonsecret state (tested first, as most
-    # estimates have one) and some secret state
-    obs = observer(pg, stop=lambda x: not x & nonsecret and x & secret)
+    # the observer stops at its first revealing estimate
+    obs = observer(pg, secret, nonsecret)
     kept = Subsumption(universal(pg))
     roots = compute_seeds(obs, secret, nonsecret, kept)
     marked, depth = bounded_bfs(product_successors(pg, kept), roots, k, stop=_revealing)

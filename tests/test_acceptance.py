@@ -155,7 +155,7 @@ def test_criterion_6_k_independence_bench(tmp_path):
         lines = out.getvalue().splitlines()
         assert len(lines) == 4
         times = [float(line.split("time=")[1].split("s ")[0]) for line in lines]
-        explored = [int(line.rsplit("=", 1)[1]) for line in lines]
+        explored = [int(dict(field.split("=") for field in line.split())["product_states_explored"]) for line in lines]
         reachable = verify_weak(des, INFINITE).stats.product_states_explored
         for k, count in zip((1, 1000, 1000000, INFINITE), explored):
             if k is INFINITE or k >= reachable:

@@ -165,10 +165,12 @@ def test_observer_matches_direct_simulation():
 def _check_observer_against_reference(des):
     # the same keys in the same order and the same parent estimates as a
     # plain BFS, with and without the stop, and each estimate's observation
-    # read back is the event string the BFS recorded
+    # read back is the event string the BFS recorded; the observer stops by
+    # its masks, the reference by the predicate on the same estimates
     pg = project(des)
-    for stop in (None, revealing_estimate(des)):
-        obs = observer(pg, stop=stop)
+    masks = (mask_of(des.secret), mask_of(des.nonsecret))
+    for (secret, nonsecret), stop in (((0, 0), None), (masks, revealing_estimate(des))):
+        obs = observer(pg, secret, nonsecret)
         reference = reference_observer(pg, stop=stop)
         assert list(obs) == list(reference)
         assert list(obs.values()) == [link and link[0] for link in reference.values()]
@@ -610,3 +612,16 @@ def test_des_rejects_names_with_a_line_break(brk):
     des = Des(state_count=3, events=make_events(["a b", "c\td"]), transitions=frozenset(),
               initial=frozenset({0}), state_names=("", "x y", "x\ty"))
     assert des.state_names == ("", "x y", "x\ty")
+
+
+@pytest.mark.parametrize("name", ["\ud800", "s\udfff", "\udc00x"])
+def test_des_rejects_names_that_do_not_encode_as_utf8(name):
+    # a lone surrogate parses from JSON ("\ud800") but cannot be printed
+    with pytest.raises(ValueError, match=r"does not encode as UTF-8") as info:
+        Des(state_count=2, events=make_events(["a"]), transitions=frozenset(), initial=frozenset({0}),
+            state_names=("x", name))
+    assert repr(name) in str(info.value)
+    with pytest.raises(ValueError, match=r"does not encode as UTF-8"):
+        make_events(["a", name])
+    # a surrogate pair written as one character is a valid name
+    assert make_events(["a", "\U0001f600"]).names == ("a", "\U0001f600")

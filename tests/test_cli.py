@@ -202,6 +202,32 @@ def test_cli_any_input_bytes_exit_0_1_or_2(data, tmp_path, capsys):
         assert "Traceback" not in err, (command, data)
 
 
+def test_parse_des_maps_a_number_too_long_to_convert_to_format_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError past the integer digit limit,
+    # here in a key the parser never reads
+    text = json.dumps(FIG5_DOC)[:-1] + ', "x": ' + "1" * 5000 + "}"
+    with pytest.raises(DesFormatError, match="invalid JSON"):
+        parse_des(text)
+    path = tmp_path / "long.des"
+    path.write_text(text)
+    code, out = invoke(["verify-weak", "--input", str(path), "--k", "1"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+
+def test_cli_rejects_a_lone_surrogate_before_any_output(tmp_path, capsys):
+    # the JSON escape "\\ud800" parses as a lone surrogate, which UTF-8
+    # stdout cannot encode: rejected at parse, it leaves no partial verdict
+    # such as NOT_OPAQUE and mu=a before the error line
+    path = tmp_path / "surrogate.des"
+    path.write_text(serialize_des(load_fixture("fig1")).replace('"2"', '"\\ud800"'), encoding="utf-8")
+    for command in ("verify-weak", "verify-strong"):
+        code, out = invoke([command, "--input", str(path), "--k", "1", "--witness"])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "UTF-8" in err
+
+
 def test_cli_verify_weak_fig1():
     code, out = invoke(["verify-weak", "--input", fixture_path("fig1"), "--k", "1"])
     assert code == 1
@@ -499,8 +525,12 @@ def test_cli_random_and_bench(tmp_path):
     assert len(lines) == 3
     assert lines[0].startswith("k=1 time=")
     assert lines[2].startswith("k=inf time=")
-    explored = [line.rsplit("=", 1)[1] for line in lines]
-    assert explored[1] == explored[2]
+    # each line carries every stats field, as --stats prints them
+    fields = [dict(field.split("=") for field in line.split()) for line in lines]
+    assert all(list(f) == ["k", "time", *STATS_KEYS] for f in fields)
+    for line, k in zip(lines, (1, 1000, INFINITE)):
+        assert line.split(" ", 2)[2] == " ".join(stats_lines(verify_weak(des, k)))
+    assert fields[1]["product_states_explored"] == fields[2]["product_states_explored"]
 
 
 def random_argv(output, density="0.8", obs_events="2", unobs_events="1"):

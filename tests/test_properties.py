@@ -156,10 +156,10 @@ def _check_stopped_observer(des):
     pg = project(des)
     reveals = revealing_estimate(des)
     full = list(observer(pg).items())
-    stopped = list(observer(pg, stop=reveals).items())
+    secret, nonsecret, u = mask_of(des.secret), mask_of(des.nonsecret), universal(pg)
+    stopped = list(observer(pg, secret, nonsecret).items())
     first = next((i for i, (x, _link) in enumerate(full) if reveals(x)), None)
     assert stopped == full[: len(full) if first is None else first + 1]
-    secret, nonsecret, u = mask_of(des.secret), mask_of(des.nonsecret), universal(pg)
     seeds = list(compute_seeds(dict(stopped), secret, nonsecret, Subsumption(u)).items())
     full_seeds = list(compute_seeds(dict(full), secret, nonsecret, Subsumption(u)).items())
     assert seeds == full_seeds[: len(seeds)]

@@ -146,7 +146,7 @@ def test_compute_seeds_puts_the_first_revealing_seed_first():
     _obs, seeds = _seeds(des)
     assert list(seeds.items()) == [((1, 0), mask_of({1})), ((3, mask_of({4})), mask_of({3, 4}))]
     # the observer that verify_weak builds stops at {"2"}, and so do its seeds
-    _obs, seeds = _seeds(des, observer(project(des), stop=revealing_estimate(des)))
+    _obs, seeds = _seeds(des, observer(project(des), mask_of(des.secret), mask_of(des.nonsecret)))
     assert seeds == {(1, 0): mask_of({1})}
 
 
@@ -424,7 +424,7 @@ def test_verify_weak_matches_full_observer_reference(monkeypatch):
         for k in (0, 1, 1000, INFINITE):
             v = verify_weak(des, k)
             with monkeypatch.context() as m:
-                m.setattr(weak, "observer", lambda pg, stop=None: observer(pg))
+                m.setattr(weak, "observer", lambda pg, secret, nonsecret: observer(pg))
                 ref = verify_weak(des, k)
             assert ref.stats.observer_states == len(full)
             assert v.stats.observer_states == expected_states
