@@ -271,7 +271,7 @@ def project(des: Des) -> Projection:
     row is the union of the moves over its closure."""
     n = des.state_count
     unobservable = _unobservable_successors(des)
-    closures = [_closure(unobservable, 1 << q) for q in range(n)]
+    closures = [_closure(unobservable, 1 << q) if unobservable[q] else 1 << q for q in range(n)]
     offsets = {e: j * n for j, e in enumerate(des.events.observable_indices())}
     moves = [0] * n
     for (p, e, q) in des.transitions:

@@ -211,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
 
+    parser.commands = sub.choices  # command name -> its parser, for run
     return parser
 
 
@@ -229,8 +230,18 @@ def run(argv=None, out=None) -> int:
     command raises, reported as one ``error:`` line on stderr.
     """
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    # The named command's parser reads the arguments after the name, as the
+    # top-level parser would hand them to it.  Any other first argument, or
+    # arguments the command leaves unread, go through the top-level parser,
+    # so help and usage errors read as they always have.
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if command is not None:
+            args, unread = command.parse_known_args(argv[1:])
+        if command is None or unread:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -9,13 +9,12 @@ state it discovers.  The witness's continuation is read off the product's
 search map by ``path_to``, and its observation off the observer's parent
 estimates by ``observation``.
 
-The observer search itself ends at its first revealing estimate, one with
-a secret state and no nonsecret state.  Its map is then the full observer's
-discovery order up to that estimate, so the roots seeded over it are those
-of the full map up to that estimate's pairs, the first revealing root among
-them, and the product search stops at that root at once.  So only
-``observer_states`` depends on the early stop: it counts the estimates
-discovered, up to and including the first revealing one.
+The observer search itself ends at its first revealing estimate x, one
+with a secret state and no nonsecret state.  Weak k-step opacity implies
+current-state opacity, so x is a violation at every k, and the verifier
+answers it without seeds or product: x's lowest secret state, the empty
+continuation.  ``observer_states`` counts the estimates up to and
+including x.
 
 Both the seeds and the product search skip pairs through one
 ``Subsumption``.  Let U be the projection's universal states: the greatest
@@ -186,9 +185,9 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> 
     """Product roots: (secret state q, nonsecret estimate Z) -> estimate X.
 
     One root per pair of a reachable estimate X (a key of the observer map
-    ``obs``, which may be a prefix stopped at the first revealing estimate)
-    and secret state q in X, with Z = X & ``nonsecret`` (masks), that
-    ``kept`` admits; the pair keeps its first X.  Roots follow the
+    ``obs``, which ``verify_weak`` passes only when the observer ran to
+    the end) and secret state q in X, with Z = X & ``nonsecret`` (masks),
+    that ``kept`` admits; the pair keeps its first X.  Roots follow the
     observer's discovery order, so the estimate a root maps to has a
     shortest observation, ties broken by event-table order.
     An estimate whose secret and nonsecret states equal an earlier one's
@@ -223,8 +222,11 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
     k = check_k(k)
     secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
     pg = project(des)
-    # the observer stops at its first revealing estimate
+    # the observer stops at its first revealing estimate, then its last key
     obs = observer(pg, secret, nonsecret)
+    x = next(reversed(obs))
+    if not x & nonsecret and x & secret:
+        return Verdict(False, _witness(pg, obs, x, states_of(x & secret)[0], ()), VerifyStats(len(obs), 0, 1, 0))
     kept = Subsumption(universal(pg))
     roots = compute_seeds(obs, secret, nonsecret, kept)
     marked, depth = bounded_bfs(product_successors(pg, kept), roots, k, stop=_revealing)
@@ -237,7 +239,12 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
     if v is None or not _revealing(v):
         return Verdict(True, None, stats)
     root, nu = path_to(marked, v)
-    x = roots[root]
-    mu = observation(pg, obs, x)
+    return Verdict(False, _witness(pg, obs, roots[root], root[0], nu), stats)
+
+
+def _witness(pg: Projection, obs: dict, x: int, q: int, nu: tuple) -> Witness:
+    """The violation from secret state q of the observer's estimate x with
+    the continuation ``nu`` (event indices), its events named."""
     names = pg.event_names
-    return Verdict(False, Witness(tuple(names[j] for j in mu), root[0], tuple(names[j] for j in nu), x), stats)
+    mu = observation(pg, obs, x)
+    return Witness(tuple(names[j] for j in mu), q, tuple(names[j] for j in nu), x)

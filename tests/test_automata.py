@@ -581,6 +581,10 @@ def test_des_validation():
         Des(state_count=2, events=make_events(["a"]), transitions=frozenset(), initial=frozenset({2}))
     with pytest.raises(ValueError, match="transition state index out of range"):
         Des(state_count=2, events=make_events(["a"]), transitions=frozenset({(0, 0, 2)}), initial=frozenset({0}))
+    # a transition must be a triple, also beside valid ones
+    for transitions in ({(0, 0, 1, 1)}, {(0, 0, 1), (1, 0, 0, 1)}):
+        with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 3"):
+            Des(state_count=2, events=make_events(["a"]), transitions=frozenset(transitions), initial=frozenset({0}))
     with pytest.raises(ValueError, match="state_names length"):
         Des(
             state_count=2,

@@ -147,6 +147,39 @@ def test_parse_rejects_malformed_fields(message, corrupt, tmp_path):
     assert invoke(["verify-weak", "--input", str(path), "--k", "1"])[0] == 2
 
 
+TRIPLE = "each transition must be a [source, event, target] triple"
+# fig5's transitions, each list replaced; a shape or name that a bulk
+# check could take for a triple of known names, and the message naming it
+MALFORMED_TRANSITIONS = {
+    "string-of-three": (["1a2"], TRIPLE),
+    "object-of-three-names": ([{"1": "a", "a": "2", "2": "1"}], TRIPLE),
+    "pair": ([["1", "a"]], TRIPLE),
+    "quadruple": ([["1", "a", "2", "2"]], TRIPLE),
+    "source-int": ([[1, "a", "2"]], "unknown state name 1 in transitions"),
+    "source-true": ([[True, "a", "2"]], "unknown state name True in transitions"),
+    "source-null": ([[None, "a", "2"]], "unknown state name None in transitions"),
+    "source-list": ([[["1"], "a", "2"]], "unknown state name ['1'] in transitions"),
+    "event-int": ([["1", 1, "2"]], "unknown event name 1 in transitions"),
+    "event-true": ([["1", True, "2"]], "unknown event name True in transitions"),
+    "event-null": ([["1", None, "2"]], "unknown event name None in transitions"),
+    "event-list": ([["1", ["a"], "2"]], "unknown event name ['a'] in transitions"),
+    "target-int": ([["1", "a", 1]], "unknown state name 1 in transitions"),
+    "target-null": ([["1", "a", None]], "unknown state name None in transitions"),
+    # the first malformed transition is named, whatever follows it
+    "valid-then-name": ([["1", "a", "2"], ["1", "a", True], "1a2"], "unknown state name True in transitions"),
+    "name-then-shape": ([["1", "zz", "2"], ["1", "a"]], "unknown event name 'zz' in transitions"),
+    "valid-then-shape": ([["1", "a", "2"], ["1", "a", "2", "2"], ["1", 1, "2"]], TRIPLE),
+}
+
+
+@pytest.mark.parametrize("transitions, message", MALFORMED_TRANSITIONS.values(), ids=MALFORMED_TRANSITIONS.keys())
+def test_parse_names_the_first_malformed_transition(transitions, message):
+    doc = dict(json.loads(serialize_des(load_fixture("fig5"))), transitions=transitions)
+    with pytest.raises(DesFormatError) as exc:
+        parse_des(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 FIG5_DOC = json.loads(serialize_des(load_fixture("fig5")))
 STATE = st.sampled_from(FIG5_DOC["states"]) | st.text(max_size=2)
 EVENT = st.sampled_from([e["name"] for e in FIG5_DOC["events"]]) | st.text(max_size=2)
@@ -196,10 +229,15 @@ def test_cli_any_input_bytes_exit_0_1_or_2(data, tmp_path, capsys):
     path = tmp_path / "input.des"
     path.write_bytes(data)
     for command in ("verify-weak", "verify-strong"):
-        code, _out = invoke([command, "--input", str(path), "--k", "1"])
+        code, out = invoke([command, "--input", str(path), "--k", "1"])
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (command, data)
-        assert "Traceback" not in err, (command, data)
+        if code == 2:  # an error, never beside anything that reads as a verdict
+            assert out == "", (command, data)
+            assert err.count("\n") == 1 and err.startswith("error: "), (command, data, err)
+        else:
+            assert out.splitlines()[0] == ("OPAQUE", "NOT_OPAQUE")[code], (command, data)
+            assert err == "", (command, data)
 
 
 def test_parse_des_maps_a_number_too_long_to_convert_to_format_error(tmp_path, capsys):
@@ -610,6 +648,51 @@ def test_cli_bench_rejects_zero_repeat():
     code, out = invoke(["bench", "--input", fixture_path("fig1"), "--k-list", "1", "--repeat", "0"])
     assert code == 2
     assert out == ""
+
+
+def _top_level_run(argv, out):
+    """``run`` with every argument read by the top-level parser, which hands
+    a command's arguments to that command's parser."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        return args.func(args, out)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+PARSE_CASES = [
+    [], ["-h"], ["--help"], ["--h"], ["nope"], ["verify"], ["--input", "x"],
+    ["verify-weak"], ["verify-weak", "-h"], ["verify-strong", "--help"], ["bench", "-h"],
+    ["verify-weak", "--k", "1"], ["verify-weak", "--input"], ["verify-weak", "--k", "1", "--input", "-h"],
+    ["verify-weak", "--input", "{fig1}", "--k", "1", "--witness", "--stats"],
+    ["verify-weak", "--inp", "{fig1}", "--k", "inf", "--wit"], ["verify-weak", "--input={fig1}", "--k=0"],
+    ["verify-weak", "--input", "{fig1}", "--k", "1", "--bogus"], ["verify-weak", "--input", "{fig1}", "--k", "1", "extra"],
+    ["verify-weak", "--input", "{fig1}", "--k", "1", "--", "extra"], ["verify-weak", "--", "--input", "{fig1}"],
+    ["verify-strong", "--input", "{fig1}", "--k", "1", "--dot", "d"], ["verify-weak", "--input", "{fig1}", "--k", "1", "-x"],
+    ["verify-weak", "--input", "{fig1}", "--k", "1", "--s"], ["verify-weak", "--input", "{fig1}", "--k", "1", "-h", "--bogus"],
+    ["bench", "--input", "{fig1}", "--k-list", "1", "--repeat", "x"], ["oracle", "both", "--input", "{fig1}"],
+    ["oracle", "weak", "--input", "{fig1}", "--k", "1", "--mu-max", "3", "--nu-max", "2"],
+    ["oracle", "--input", "{fig1}", "--k", "1", "--mu-max", "3", "--nu-max", "2", "strong"],
+    ["random", "--states", "x"], ["normalize", "--input", "{fig1}"], ["verify-weak", "verify-weak"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_run_reads_arguments_as_the_top_level_parser_does(argv, capsys):
+    # run reads a command's arguments with the command's own parser; exit
+    # code, output, help text and usage errors stay the top-level parser's
+    argv = [part.replace("{fig1}", fixture_path("fig1")) for part in argv]
+    outcomes = []
+    for runner in (_top_level_run, run):
+        out = io.StringIO()
+        code = runner(argv, out=out)
+        captured = capsys.readouterr()
+        outcomes.append((code, out.getvalue(), captured.out, captured.err))
+    assert outcomes[1] == outcomes[0]
 
 
 def test_cli_builds_parser_once(monkeypatch):
