@@ -41,7 +41,6 @@ from .weak import (
     Witness,
     bounded_bfs,
     compute_seeds,
-    product_successors,
     universal,
     verify_weak,
 )

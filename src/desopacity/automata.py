@@ -4,8 +4,8 @@ A DES is a nondeterministic finite automaton whose alphabet is split into
 observable and unobservable events, together with disjoint sets of secret
 and nonsecret states.  This module provides the generic constructions
 that the opacity verifiers are built from: the model, projection onto the
-observable alphabet and its step kernel, the level-bounded search, the
-subset-construction observer, and the paths read off a search.
+observable alphabet and its step kernel, and the subset-construction
+observer with the observations read off it.
 
 Sets of states inside these constructions are int bitmasks: bit q is set
 iff state q is in the set, and the empty set is 0.  The projection has one
@@ -20,19 +20,13 @@ export step through this kernel.  The observer runs its own breadth-first
 loop and records only each estimate's parent estimate, from which
 ``observation`` reads an observation back; it stops at the first estimate
 that meets a ``secret`` mask and misses a ``nonsecret`` mask, tested
-inline.  The product runs on the level-bounded ``bounded_bfs``, whose
-parent links ``path_to`` reads.
+inline.  The weak verifier's product runs its own loop in ``weak.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
-
-# k is a nonnegative int or INFINITE.
-KBound = Union[int, float]
-INFINITE: KBound = math.inf
+from typing import Callable, Iterable, Optional
 
 # States per lookup table of the step kernel: each table has 2^BLOCK entries.
 BLOCK = 8
@@ -286,66 +280,6 @@ def project(des: Des) -> Projection:
         state_count=n,
         step=_step_kernel(packed),
     )
-
-
-def check_k(k: KBound) -> KBound:
-    if k == math.inf:
-        return INFINITE
-    # bool subclasses int, but True is not a step count
-    if isinstance(k, int) and not isinstance(k, bool) and k >= 0:
-        return k
-    raise ValueError("k must be a nonnegative integer or INFINITE")
-
-
-def bounded_bfs(successors: Callable, seeds: Iterable, k: KBound, stop: Optional[Callable] = None):
-    """Mark all vertices within distance k of the seeds.
-
-    ``successors(v)`` yields (label, vertex) pairs.  Returns (marked, depth)
-    where ``marked`` maps each vertex to its parent link (parent vertex,
-    label) or None for seeds, in discovery order, and ``depth`` is the last
-    level that had vertices.  If ``stop(v)`` holds for a discovered vertex,
-    the search ends there: that vertex is the last key of ``marked``, and
-    ``marked`` is the full search's discovery order up to it.
-
-    The search keeps one level number and two vertex lists, the frontier
-    and the next level, instead of a per-vertex distance, so its memory
-    does not grow with k.
-    """
-    k = check_k(k)
-    marked = {}
-    frontier = []
-    for s in seeds:
-        if s not in marked:
-            marked[s] = None
-            if stop is not None and stop(s):
-                return marked, 0
-            frontier.append(s)
-    level = 0
-    while frontier and level < k:
-        following = []
-        for u in frontier:
-            for label, v in successors(u):
-                if v not in marked:
-                    marked[v] = (u, label)
-                    if stop is not None and stop(v):
-                        return marked, level + 1
-                    following.append(v)
-        if not following:
-            break
-        frontier = following
-        level += 1
-    return marked, level
-
-
-def path_to(marked: dict, v) -> tuple:
-    """(root, labels): the seed that ``v``'s parent chain in ``marked`` starts
-    from, and the labels along the chain from that seed to ``v``."""
-    labels = []
-    while marked[v] is not None:
-        v, label = marked[v]
-        labels.append(label)
-    labels.reverse()
-    return v, tuple(labels)
 
 
 def observer(pg: Projection, secret: int = 0, nonsecret: int = 0) -> dict:

@@ -1,11 +1,12 @@
 """Verification of weak k-step opacity.
 
 The verifier harvests seed pairs (secret state, nonsecret estimate) from
-the observer, then runs a level-bounded breadth-first search over the
-product of the projected automaton with the full-observer dynamics.  The
-system is opaque iff no product state with an empty estimate is reachable
-from a seed within k observable steps.  The search stops at the first such
-state it discovers.  The witness's continuation is read off the product's
+the observer, then runs ``bounded_bfs``, one level-bounded breadth-first
+loop over the product of the projected automaton with the full-observer
+dynamics that steps, admits and records parent links inline.  The system
+is opaque iff no product state with an empty estimate is reachable from a
+seed within k observable steps.  The search stops at the first such state
+it discovers.  The witness's continuation is read off the product's
 search map by ``path_to``, and its observation off the observer's parent
 estimates by ``observation``.
 
@@ -46,24 +47,24 @@ states are explored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterable, Optional, Union
 
-# INFINITE is re-exported: callers import the k bound from this module.
-from .automata import (  # noqa: F401
-    INFINITE,
-    Des,
-    KBound,
-    Projection,
-    bounded_bfs,
-    check_k,
-    mask_of,
-    observation,
-    observer,
-    path_to,
-    project,
-    states_of,
-)
+from .automata import Des, Projection, mask_of, observation, observer, project, states_of
+
+# k is a nonnegative int or INFINITE.
+KBound = Union[int, float]
+INFINITE: KBound = math.inf
+
+
+def check_k(k: KBound) -> KBound:
+    if k == math.inf:
+        return INFINITE
+    # bool subclasses int, but True is not a step count
+    if isinstance(k, int) and not isinstance(k, bool) and k >= 0:
+        return k
+    raise ValueError("k must be a nonnegative integer or INFINITE")
 
 
 @dataclass(frozen=True)
@@ -145,42 +146,6 @@ class Subsumption:
         return states
 
 
-def product_successors(pg: Projection, kept: Subsumption) -> Callable:
-    """Successor function of the product of the projection with its full
-    observer, for one search whose seeds ``kept`` holds.
-
-    A vertex is (q, Z): a state and an estimate mask.  On event j it moves
-    to (q', Z') for every q' in event j's slice of ``pg.packed[q]``, where
-    Z' is event j's slice of ``pg.step(Z)``, as (j, vertex) pairs in event
-    order and then state order, and only those that ``kept`` admits.
-    Z = 0 is the empty estimate and stays 0.  Each expanded vertex is
-    stepped once.  It may yield a vertex again.  Being stateful, the
-    function serves one search.
-    """
-    packed = pg.packed
-    step = pg.step
-    n = pg.state_count
-    full = (1 << n) - 1
-    admit = kept.admit
-
-    def successors(vertex):
-        q, z = vertex
-        row = packed[q]
-        y = step(z)
-        j = 0
-        while row:
-            states = row & full
-            if states:
-                z2 = y & full
-                for q2 in states_of(admit(states, z2)):
-                    yield j, (q2, z2)
-            row >>= n
-            y >>= n
-            j += 1
-
-    return successors
-
-
 def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> dict:
     """Product roots: (secret state q, nonsecret estimate Z) -> estimate X.
 
@@ -208,9 +173,78 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> 
     return seeds
 
 
-def _revealing(vertex) -> bool:
-    """A product state whose nonsecret estimate is empty."""
-    return not vertex[1]
+def bounded_bfs(pg: Projection, kept: Subsumption, roots: Iterable, k: KBound):
+    """The product search: every pair (q, Z) within k observable steps of
+    the ``roots`` that ``kept`` admits, up to the first pair whose estimate
+    Z is empty, roots included.  k is checked by the caller.
+
+    A pair (q, Z) moves on event j to (q', Z') for every state q' in event
+    j's slice of ``pg.packed[q]``, where Z' is event j's slice of
+    ``pg.step(Z)``; its successors are taken in event order, then state
+    order, and only those that ``kept`` admits.  Each expanded pair is
+    stepped once.  Returns (marked, depth): ``marked`` maps each pair to
+    its parent link (parent pair, event index), or None for a root, in
+    discovery order, and ``depth`` is the last level that had pairs.  A
+    pair with an empty estimate is never expanded: it is the last key of
+    ``marked``, which is then the discovery order of the search without
+    that stop up to it.
+
+    The search keeps one level number and two pair lists, the frontier and
+    the next level, instead of a per-pair distance, so its memory does not
+    grow with k.
+    """
+    packed = pg.packed
+    step = pg.step
+    n = pg.state_count
+    full = (1 << n) - 1
+    admit = kept.admit
+    marked = {}
+    frontier = []
+    for v in roots:
+        if v not in marked:
+            marked[v] = None
+            if not v[1]:
+                return marked, 0
+            frontier.append(v)
+    level = 0
+    while frontier and level < k:
+        following = []
+        for u in frontier:
+            q, z = u
+            row = packed[q]
+            y = step(z)
+            j = 0
+            while row:
+                states = row & full
+                if states:
+                    z2 = y & full
+                    for q2 in states_of(admit(states, z2)):
+                        v = (q2, z2)
+                        if v not in marked:
+                            marked[v] = (u, j)
+                            if not z2:
+                                return marked, level + 1
+                            following.append(v)
+                row >>= n
+                y >>= n
+                j += 1
+        if not following:
+            break
+        frontier = following
+        level += 1
+    return marked, level
+
+
+def path_to(marked: dict, v) -> tuple:
+    """(root, events): the root that ``v``'s parent chain in ``marked``
+    starts from, and the event indices along the chain from that root to
+    ``v``."""
+    events = []
+    while marked[v] is not None:
+        v, j = marked[v]
+        events.append(j)
+    events.reverse()
+    return v, tuple(events)
 
 
 def verify_weak(des: Des, k: KBound) -> Verdict:
@@ -229,14 +263,14 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
         return Verdict(False, _witness(pg, obs, x, states_of(x & secret)[0], ()), VerifyStats(len(obs), 0, 1, 0))
     kept = Subsumption(universal(pg))
     roots = compute_seeds(obs, secret, nonsecret, kept)
-    marked, depth = bounded_bfs(product_successors(pg, kept), roots, k, stop=_revealing)
+    marked, depth = bounded_bfs(pg, kept, roots, k)
 
     n = des.state_count
     assert len(marked) <= n * 2 ** n, "product exploration exceeded the n*2^n bound"
 
     stats = VerifyStats(len(obs), len({z for _q, z in marked if z}), len(marked), depth)
     v = next(reversed(marked), None)
-    if v is None or not _revealing(v):
+    if v is None or v[1]:
         return Verdict(True, None, stats)
     root, nu = path_to(marked, v)
     return Verdict(False, _witness(pg, obs, roots[root], root[0], nu), stats)

@@ -6,7 +6,7 @@ import sys
 from collections import deque
 from pathlib import Path
 
-from desopacity import INFINITE, Des, is_deterministic, mask_of
+from desopacity import INFINITE, Des, is_deterministic, mask_of, states_of
 from desopacity.automata import union_rows
 from desopacity.oracle import GeneratorParams, OracleBounds, _event_adj, random_des, simulate_observation
 
@@ -102,6 +102,43 @@ def reference_observer(pg, stop=None):
                     return marked
                 queue.append(z)
     return marked
+
+
+def reference_product_search(rows, kept, roots, k, stop=lambda v: not v[1]):
+    """The product search as a plain BFS with a distance per pair, over
+    ``rows`` (``oracle_rows``) instead of the projection: a pair (q, Z)
+    moves on event j to (q', Z') for each q' in ``rows[j][q]``, with Z' the
+    union of ``rows[j]`` over Z, in event order, then state order, and only
+    to the pairs that ``kept`` admits.  Returns (marked, depth): ``marked``
+    maps each pair within k steps of the ``roots`` to its (parent pair,
+    event index) link, or None for a root, in discovery order, and
+    ``depth`` is the distance of its last pair.  The search ends at the
+    first discovered pair where ``stop`` holds, by default one with an
+    empty estimate.  Shares no code with ``weak.bounded_bfs``."""
+    marked, distance = {}, {}
+    for v in roots:
+        if v in marked:
+            continue
+        marked[v], distance[v] = None, 0
+        if stop(v):
+            return marked, 0
+    queue = deque(marked)
+    while queue:
+        u = queue.popleft()
+        if distance[u] == k:
+            continue
+        q, z = u
+        for j, row in enumerate(rows):
+            z2 = union_rows(row, z)
+            for q2 in states_of(kept.admit(row[q], z2)):
+                v = (q2, z2)
+                if v in marked:
+                    continue
+                marked[v], distance[v] = (u, j), distance[u] + 1
+                if stop(v):
+                    return marked, distance[v]
+                queue.append(v)
+    return marked, distance[next(reversed(marked))] if marked else 0
 
 
 def oracle_rows(des):

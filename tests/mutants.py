@@ -1,0 +1,185 @@
+"""Named mutants of the verifier, and a runner that checks the tests kill each.
+
+A mutant is an exact replacement of one text in one file under ``src/``,
+whose old text occurs there exactly once.  For each mutant the runner
+copies ``src/`` to a temporary directory, applies the replacement there and
+runs the mutant's test selection against the copy.  The mutant is killed
+when that run reports a failing test.  The runner exits 1 when a mutant
+survives, when its old text no longer matches, or when the selections fail
+on the unmutated copy, so a refactor updates this list instead of dropping
+a mutant without notice.
+
+Run from anywhere, with pytest installed::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+WEAK = "src/desopacity/weak.py"
+AUTOMATA = "src/desopacity/automata.py"
+ADMIT_TESTS = (
+    "tests/test_automata.py::test_admit_applies_only_the_universal_rules",
+    "tests/test_automata.py::test_admit_matches_its_contract",
+)
+
+MUTANTS = (
+    # admission
+    Mutant("rule-b-subset-reversed", WEAK, "            if not y & ~z:\n", "            if not z & ~y:\n", ADMIT_TESTS),
+    Mutant(
+        "cut-after-highest-universal",
+        WEAK,
+        "            states &= (u & -u) * 2 - 1\n",
+        "            states &= (1 << u.bit_length()) - 1\n",
+        ADMIT_TESTS,
+    ),
+    Mutant(
+        "z-recorded-unconditionally",
+        WEAK,
+        "        if u:\n            self.dominating.append(z)\n",
+        "        self.dominating.append(z)\n        if u:\n",
+        ADMIT_TESTS,
+    ),
+    Mutant(
+        "seed-overwritten-by-later-estimate",
+        WEAK,
+        "            seeds.setdefault((q, z), x)\n",
+        "            seeds[(q, z)] = x\n",
+        ("tests/test_weak.py::test_compute_seeds_keeps_the_first_root_of_a_pair",),
+    ),
+    # the product search
+    Mutant(
+        "root-stop-dropped",
+        WEAK,
+        "            if not v[1]:\n                return marked, 0\n",
+        "",
+        ("tests/test_weak.py::test_bounded_bfs_matches_reference_search",),
+    ),
+    Mutant(
+        "stop-tested-at-level-end",
+        WEAK,
+        "                            if not z2:\n"
+        "                                return marked, level + 1\n"
+        "                            following.append(v)\n"
+        "                row >>= n\n"
+        "                y >>= n\n"
+        "                j += 1\n",
+        "                            following.append(v)\n"
+        "                row >>= n\n"
+        "                y >>= n\n"
+        "                j += 1\n"
+        "        if any(not v[1] for v in following):\n"
+        "            return marked, level + 1\n",
+        ("tests/test_weak.py::test_bounded_bfs_matches_reference_search",),
+    ),
+    Mutant(
+        "link-recorded-as-root",
+        WEAK,
+        "                            marked[v] = (u, j)\n",
+        "                            marked[v] = None\n",
+        ("tests/test_weak.py::test_bounded_bfs_parent_links_replay_through_oracle_rows",),
+    ),
+    # the observer
+    Mutant(
+        "observer-lifo",
+        AUTOMATA,
+        "    for x in queue:\n",
+        "    while queue:\n        x = queue.pop()\n",
+        ("tests/test_automata.py::test_observer_matches_reference_on_random_weak_systems",),
+    ),
+    Mutant(
+        "observation-takes-last-match",
+        AUTOMATA,
+        "        j = 0\n        while (y >> j * n) & full != x:\n            j += 1\n",
+        "        j = len(pg.event_names) - 1\n        while (y >> j * n) & full != x:\n            j -= 1\n",
+        ("tests/test_weak.py::test_shortest_observations_event_order_tiebreak",),
+    ),
+    Mutant(
+        "observer-initial-stop-skipped",
+        AUTOMATA,
+        "    if not x & nonsecret and x & secret:\n        return parents\n    queue",
+        "    queue",
+        ("tests/test_automata.py::test_observer_matches_reference_on_random_weak_systems",),
+    ),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Apply ``mutant`` to the tree at ``root``; raise ValueError unless its
+    old text occurs exactly once."""
+    path = root / mutant.path
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: its old text occurs {count} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def run_tests(mutant: Mutant | None, tests: tuple) -> int:
+    """pytest's exit code for ``tests`` against a copy of ``src/`` with
+    ``mutant`` applied, or unmutated for None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            apply(mutant, copy)
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        # the tests must import the copy, not an installed package
+        probe = [sys.executable, "-c", "import desopacity; print(desopacity.__file__)"]
+        imported = subprocess.run(probe, cwd=ROOT, env=env, capture_output=True, text=True).stdout.strip()
+        if not Path(imported).is_relative_to(copy):
+            raise RuntimeError(f"the tests import {imported!r}, not the copy under {tmp}")
+        return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode
+
+
+def main(names: list) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    mutants = [known[name] for name in names] or list(MUTANTS)
+    tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    code = run_tests(None, tests)
+    if code != 0:
+        print(f"the selections fail on the unmutated source (pytest exit {code})")
+        return 1
+    failed = 0
+    for mutant in mutants:
+        try:
+            code = run_tests(mutant, mutant.tests)
+        except ValueError as exc:
+            print(f"STALE     {exc}")
+            failed += 1
+            continue
+        # pytest exits 1 when a test failed; another code is an error of the run
+        outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+        failed += code != 1
+        print(f"{outcome:<9} {mutant.name}")
+    print(f"{len(mutants) - failed} of {len(mutants)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -5,24 +5,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from desopacity import (
-    INFINITE,
     Des,
     Subsumption,
     bounded_bfs,
-    compute_seeds,
     is_deterministic,
     load_fixture,
     make_events,
     mask_of,
     observer,
-    product_successors,
     project,
     reduce_to_weak,
     states_of,
     universal,
 )
-from desopacity.automata import observation, path_to, union_rows
+from desopacity.automata import observation, union_rows
 from desopacity.oracle import simulate_observation
+from desopacity.weak import path_to
 
 from conftest import (
     language_equivalent,
@@ -364,28 +362,31 @@ def test_universal_is_not_language_universality():
     assert universal(project(des)) == mask_of({3})
 
 
-def _product(pg, seeds):
-    """The product's successor function for one search from ``seeds``."""
+def _search(pg, seeds, k):
+    """The product search from ``seeds``, which a fresh Subsumption admits."""
     kept = Subsumption(universal(pg))
     for q, z in seeds:
         assert states_of(kept.admit(1 << q, z)) == (q,)
-    return product_successors(pg, kept)
+    return bounded_bfs(pg, kept, seeds, k)
 
 
 def test_product_step_to_sink():
     pg = project(load_fixture("fig1"))
     b = pg.event_names.index("b")
     seed = (1, mask_of({3}))
-    assert [v for j, v in _product(pg, [seed])(seed) if j == b] == [(2, 0)]  # (2,{4}) on b
-    # the empty estimate absorbs every event
-    assert all(z == 0 for _j, (_q, z) in _product(pg, [(0, 0)])((0, 0)))
+    marked, depth = _search(pg, [seed], 1)
+    assert next(reversed(marked)) == (2, 0) and marked[(2, 0)] == (seed, b)  # (2,{4}) on b
+    assert depth == 1
+    # a pair with an empty estimate is never expanded: a root ends the search
+    assert _search(pg, [(0, 0), seed], 1) == ({(0, 0): None}, 0)
 
 
 def test_product_step_empty():
     pg = project(load_fixture("fig1"))
     b = pg.event_names.index("b")
     seed = (3, mask_of({0}))
-    assert [v for j, v in _product(pg, [seed])(seed) if j == b] == []  # dead end
+    marked, _depth = _search(pg, [seed], 1)
+    assert [v for v, link in marked.items() if link == (seed, b)] == []  # dead end
 
 
 def test_product_step_requires_projected_input():
@@ -394,16 +395,15 @@ def test_product_step_requires_projected_input():
     des = load_fixture("fig5")  # "1" -a-> "2" -u-> "3"
     seed = (0, mask_of({0}))
     both = mask_of({1, 2})
-    assert list(_product(project(des), [seed])(seed)) == [(0, (1, both)), (0, (2, both))]
-    # no state is universal, so both successors are yielded even with
+    marked, depth = _search(project(des), [seed], 1)
+    assert list(marked.items()) == [(seed, None), ((1, both), (seed, 0)), ((2, both), (seed, 0))]
+    assert depth == 1
+    # no state is universal, so both successors are admitted even with
     # ("2", {"2","3"}) kept as a seed; the search's marked map drops that
     # exact repeat
     seeds = [seed, (1, both)]
-    successors = _product(project(des), seeds)
-    assert list(successors(seed)) == [(0, (1, both)), (0, (2, both))]
-    marked, _depth = bounded_bfs(_product(project(des), seeds), seeds, INFINITE)
-    assert list(marked)[:3] == [seed, (1, both), (2, both)]
-    assert marked[(1, both)] is None  # still a seed
+    marked, _depth = _search(project(des), seeds, 1)
+    assert list(marked.items())[:3] == [(seed, None), ((1, both), None), ((2, both), (seed, 0))]
 
 
 def test_admit_applies_only_the_universal_rules():
@@ -450,55 +450,6 @@ def test_admit_matches_its_contract(u, calls):
                     break
         assert kept.admit(mask_of(states), mask_of(z)) == mask_of(expected)
         assert kept.dominating == [mask_of(y) for y in recorded]
-
-
-def _oracle_row_successors(rows, kept):
-    """The product's successor function, stepping Z through each event's
-    oracle row by itself and admitting through ``kept``."""
-
-    def successors(vertex):
-        q, z = vertex
-        for j, row in enumerate(rows):
-            z2 = union_rows(row, z)
-            for q2 in states_of(kept.admit(row[q], z2)):
-                yield j, (q2, z2)
-
-    return successors
-
-
-def _recorded(successors, log):
-    def wrapped(vertex):
-        for j, w in successors(vertex):
-            log.append((vertex, j, w))
-            yield j, w
-
-    return wrapped
-
-
-def test_product_successors_match_oracle_row_reference():
-    # both sides admit through their own Subsumption, seeded alike, and the
-    # search runs to exhaustion, so every admitted pair is expanded
-    systems = [random_weak_instance(seed, n=4 + seed % 13, density=1.0) for seed in range(120)]  # n in 4..16
-    systems += [reduce_to_weak(random_det_instance(seed, n=6 + seed % 15))[1].des_prime for seed in range(60)]
-    traffic = 0
-    for des in systems:
-        pg = project(des)
-        rows = oracle_rows(des)
-        secret, nonsecret = mask_of(des.secret), mask_of(des.nonsecret)
-        logs = []
-        for build in (lambda kept: product_successors(pg, kept), lambda kept: _oracle_row_successors(rows, kept)):
-            kept = Subsumption(universal(pg))
-            seeds = compute_seeds(observer(pg), secret, nonsecret, kept)
-            log = []
-            marked, _depth = bounded_bfs(_recorded(build(kept), log), seeds, INFINITE)
-            logs.append(log)
-            # admit may yield a pair again; the search explores every
-            # admitted pair, each once as a key of marked
-            yielded = list(seeds) + [w for _v, _j, w in log]
-            assert set(yielded) == set(marked)
-        assert logs[0] == logs[1]
-        traffic += len(logs[0])
-    assert traffic > 500
 
 
 def test_is_deterministic():

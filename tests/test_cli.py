@@ -181,10 +181,16 @@ def test_parse_names_the_first_malformed_transition(transitions, message):
 
 
 FIG5_DOC = json.loads(serialize_des(load_fixture("fig5")))
-STATE = st.sampled_from(FIG5_DOC["states"]) | st.text(max_size=2)
-EVENT = st.sampled_from([e["name"] for e in FIG5_DOC["events"]]) | st.text(max_size=2)
+# lone surrogates, which JSON escapes ("\\ud800") and UTF-8 cannot encode
+SURROGATES = st.sampled_from(["\ud800", "\udc80"])
+STATE = st.sampled_from(FIG5_DOC["states"]) | st.text(max_size=2) | SURROGATES
+EVENT = st.sampled_from([e["name"] for e in FIG5_DOC["events"]]) | st.text(max_size=2) | SURROGATES
+# Placeholders for JSON that json.dumps cannot write, each replaced in the
+# document's text by ``json_text``; longer than any generated name.
+HUGE_INTEGER = "<an integer of more than 4300 digits>"
+DEEP_NESTING = "<lists nested deeper than the recursion limit>"
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | STATE,
+    st.none() | st.booleans() | st.integers() | st.floats() | STATE | st.sampled_from([HUGE_INTEGER, DEEP_NESTING]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(STATE, inner, max_size=3),
     max_leaves=10,
 )
@@ -207,10 +213,22 @@ FIG5_VARIANTS = st.sampled_from(sorted(SHAPED)).flatmap(
 )
 
 
+def json_text(value):
+    """``value`` as JSON, with the placeholders replaced: a 4301-digit
+    integer, past ``int``'s default conversion limit, and lists nested one
+    level deeper than the recursion limit at the time of the call."""
+    depth = sys.getrecursionlimit() + 1
+    return (
+        json.dumps(value)
+        .replace(json.dumps(HUGE_INTEGER), "1" * 4301)
+        .replace(json.dumps(DEEP_NESTING), "[" * depth + "]" * depth)
+    )
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(doc=FIG5_VARIANTS, value=JSON_VALUES)
 def test_parse_des_gives_des_or_format_error(doc, value):
-    for text in (json.dumps(doc), json.dumps(value)):
+    for text in (json_text(doc), json_text(value)):
         try:
             assert isinstance(parse_des(text), Des)
         except DesFormatError:
@@ -224,7 +242,7 @@ def test_parse_des_gives_des_or_format_error(doc, value):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(data=st.binary(max_size=64) | FIG5_VARIANTS.map(lambda doc: json.dumps(doc).encode()))
+@given(data=st.binary(max_size=64) | FIG5_VARIANTS.map(lambda doc: json_text(doc).encode()))
 def test_cli_any_input_bytes_exit_0_1_or_2(data, tmp_path, capsys):
     path = tmp_path / "input.des"
     path.write_bytes(data)

@@ -1,6 +1,4 @@
 import dataclasses
-import random
-from collections import deque
 
 import pytest
 
@@ -22,9 +20,9 @@ from desopacity import (
     verify_weak,
 )
 from desopacity import weak
-from desopacity.automata import observation, path_to, union_rows
+from desopacity.automata import observation, union_rows
 from desopacity.oracle import simulate_observation, validate_weak_witness, weak_violation_search
-from desopacity.weak import Verdict, VerifyStats, check_k
+from desopacity.weak import Verdict, VerifyStats, check_k, path_to
 
 from conftest import (
     exhaustive_weak_bounds,
@@ -33,6 +31,7 @@ from conftest import (
     pinned_pool,
     random_det_instance,
     random_weak_instance,
+    reference_product_search,
     revealing_estimate,
     two_way_violation_depth,
 )
@@ -185,95 +184,129 @@ def test_witness_tie_break_follows_event_table_order():
     assert v.witness == Witness(("b",), 3, (), mask_of({3}))
 
 
-def _classical_bfs(adj, seeds, k):
-    dist = {s: 0 for s in seeds}
-    queue = deque(seeds)
-    while queue:
-        u = queue.popleft()
-        if dist[u] == k:
+def _roots(des, obs, kept, revealing):
+    """``compute_seeds`` over the full observer map ``obs``; without
+    ``revealing``, over its estimates that do not reveal, so that no root
+    has an empty estimate."""
+    if not revealing:
+        reveals = revealing_estimate(des)
+        obs = {x: parent for x, parent in obs.items() if not reveals(x)}
+    return compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret), kept)
+
+
+PRODUCT_KS = (0, 1, 2, 3, 1000, INFINITE)
+
+
+@pytest.fixture(scope="module")
+def product_searches():
+    """Per system, k and choice of roots: (des, its full observer, its
+    ``oracle_rows``, revealing, k, roots, the search, the reference
+    search), each search over its own Subsumption."""
+    systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
+    systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
+    systems += [reduce_to_weak(des)[1].des_prime for des in pinned_pool("strong_reduction")]
+    systems += [random_weak_instance(seed, n=4 + seed % 13, density=1.0) for seed in range(80)]  # n in 4..16
+    systems += [reduce_to_weak(random_det_instance(seed, n=6 + seed % 15))[1].des_prime for seed in range(40)]
+    cases = []
+    for des in systems:
+        pg = project(des)
+        obs = observer(pg)
+        rows = oracle_rows(des)
+        for revealing in (True, False):
+            for k in PRODUCT_KS:
+                kept = Subsumption(universal(pg))
+                roots = _roots(des, obs, kept, revealing)
+                searched = bounded_bfs(pg, kept, roots, k)
+                kept = Subsumption(universal(pg))
+                reference = reference_product_search(rows, kept, _roots(des, obs, kept, revealing), k)
+                cases.append((des, obs, rows, revealing, k, roots, searched, reference))
+    return cases
+
+
+def test_bounded_bfs_matches_reference_search(product_searches):
+    # the same pairs in the same order, the same parent links and depth;
+    # the searches end at a revealing root, at a revealing pair found in
+    # the product, or at the level bound or the frontier's end
+    at_root = in_product = to_the_end = 0
+    for *_case, (marked, depth), (expected, expected_depth) in product_searches:
+        assert list(marked.items()) == list(expected.items())
+        assert depth == expected_depth
+        last = next(reversed(marked), None)
+        if last is None or last[1]:
+            to_the_end += 1
+        elif marked[last] is None:
+            at_root += 1
+        else:
+            in_product += 1
+    assert at_root >= 300 and in_product >= 300 and to_the_end >= 500
+
+
+def test_bounded_bfs_k0_marks_only_the_roots(product_searches):
+    for *_system, k, roots, (marked, depth), _reference in product_searches:
+        if k == 0:
+            assert list(marked) == list(roots)[: len(marked)]
+            assert all(link is None for link in marked.values()) and depth == 0
+            last = next(reversed(marked), None)
+            assert len(marked) == len(roots) or not last[1]
+
+
+def test_bounded_bfs_without_roots():
+    pg = project(load_fixture("fig1"))
+    for k in PRODUCT_KS:
+        assert bounded_bfs(pg, Subsumption(universal(pg)), {}, k) == ({}, 0)
+
+
+def test_bounded_bfs_depth_is_the_last_level_with_pairs(product_searches):
+    # each pair's distance is the length of its parent chain: the pairs come
+    # in order of distance, none beyond k, and the depth is the last one's
+    for *_system, k, _roots_, (marked, depth), _reference in product_searches:
+        distances = [len(path_to(marked, v)[1]) for v in marked]
+        assert distances == sorted(distances)
+        assert depth == (distances[-1] if distances else 0) <= k
+
+
+def test_bounded_bfs_parent_links_replay_through_oracle_rows(product_searches):
+    # every link (u, j) of a pair v is one product move on event j, and
+    # path_to reads the chain of links from v back to a root
+    checked = 0
+    for _des, _obs, rows, _revealing, _k, roots, (marked, _depth), _reference in product_searches:
+        for v, link in marked.items():
+            if link is None:
+                assert v in roots
+                continue
+            (q, z), j = link
+            assert v[0] in states_of(rows[j][q]) and v[1] == union_rows(rows[j], z)
+            checked += 1
+        if marked:
+            v = next(reversed(marked))
+            root, events = path_to(marked, v)
+            assert marked[root] is None
+            for j in reversed(events):
+                v, label = marked[v]
+                assert label == j
+            assert v == root
+    assert checked >= 5000
+
+
+def test_bounded_bfs_stops_where_the_unstopped_search_first_empties(product_searches):
+    # the search is the unstopped search's discovery order up to and
+    # including its first pair with an empty estimate; the unstopped search
+    # runs on to the whole product, so only within a few levels
+    stopped = 0
+    for des, obs, rows, revealing, k, _roots_, (marked, depth), _reference in product_searches:
+        if k > 2:
             continue
-        for v in adj.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return set(dist)
-
-
-def test_bounded_bfs_path():
-    adj = {"v0": ["v1"], "v1": ["v2"]}
-    succ = lambda u: [("e", v) for v in adj.get(u, ())]
-    marked, depth = bounded_bfs(succ, ["v0"], 1)
-    assert set(marked) == {"v0", "v1"}
-    assert depth == 1
-
-
-def test_bounded_bfs_k0():
-    succ = lambda u: [("e", u + 1)] if u < 5 else []
-    marked, _ = bounded_bfs(succ, [0, 3], 0)
-    assert set(marked) == {0, 3}
-    with pytest.raises(ValueError):
-        bounded_bfs(succ, [0, 3], -1)
-
-
-def test_bounded_bfs_no_seeds():
-    marked, depth = bounded_bfs(lambda u: [], [], INFINITE)
-    assert marked == {}
-
-
-def test_bounded_bfs_parent_links():
-    adj = {0: [1, 2], 1: [3], 2: [3]}
-    succ = lambda u: [(("to", v), v) for v in adj.get(u, ())]
-    marked, _ = bounded_bfs(succ, [0], INFINITE)
-    path = []
-    cur = 3
-    while marked[cur] is not None:
-        cur, label = marked[cur]
-        path.append(label)
-    assert cur == 0
-    assert len(path) == 2
-    assert path_to(marked, 3) == (0, (("to", 1), ("to", 3)))
-
-
-def test_bounded_bfs_stops_at_first_stop_vertex():
-    rng = random.Random(5)
-    for trial in range(60):
-        n = rng.randrange(2, 100)
-        adj = {}
-        for _ in range(rng.randrange(1, 3 * n)):
-            adj.setdefault(rng.randrange(n), []).append(rng.randrange(n))
-        seeds = rng.sample(range(n), rng.randrange(1, min(4, n) + 1))
-        goals = set(rng.sample(range(n), rng.randrange(1, 4)))
-        k = rng.choice([0, 1, 3, INFINITE])
-        succ = lambda u: [("e", v) for v in adj.get(u, ())]
-        full, full_depth = bounded_bfs(succ, seeds, k)
-        marked, depth = bounded_bfs(succ, seeds, k, stop=goals.__contains__)
-        order = list(full)
-        hits = [i for i, v in enumerate(order) if v in goals]
-        if not hits:
-            assert marked == full and depth == full_depth
+        kept = Subsumption(universal(project(des)))
+        full, full_depth = reference_product_search(rows, kept, _roots(des, obs, kept, revealing), k, stop=lambda v: False)
+        order = list(full.items())
+        first = next((i for i, (v, _link) in enumerate(order) if not v[1]), None)
+        if first is None:
+            assert (list(marked.items()), depth) == (order, full_depth)
             continue
-        assert list(marked) == order[: hits[0] + 1]
-        assert all(marked[v] == full[v] for v in marked)
-        hit = order[hits[0]]
-        distance = 0
-        while marked[hit] is not None:
-            hit = marked[hit][0]
-            distance += 1
-        assert depth == distance
-
-
-def test_bounded_bfs_matches_classical_on_random_digraphs():
-    rng = random.Random(99)
-    for trial in range(60):
-        n = rng.randrange(2, 200)
-        adj = {}
-        for _ in range(rng.randrange(1, 3 * n)):
-            adj.setdefault(rng.randrange(n), []).append(rng.randrange(n))
-        seeds = rng.sample(range(n), rng.randrange(1, min(4, n) + 1))
-        k = rng.choice([0, 1, 2, 5, INFINITE])
-        succ = lambda u: [("e", v) for v in adj.get(u, ())]
-        marked, _ = bounded_bfs(succ, seeds, k)
-        assert set(marked) == _classical_bfs(adj, seeds, k)
+        stopped += 1
+        assert list(marked.items()) == order[: first + 1]
+        assert depth == len(path_to(full, order[first][0])[1])
+    assert stopped >= 400
 
 
 def test_verify_weak_fig1_not_one_step_opaque():
@@ -342,26 +375,16 @@ def test_verify_weak_witnesses_validate_past_oracle_sizes():
 
 def _unpruned_search(des, k):
     """Reference for the pruned verifier: the same roots, taken without
-    subsumption, and the plain product BFS over the oracle's one-event rows.
+    subsumption, and the reference product search over the oracle's rows.
     Returns (opaque, violation depth or None, product states explored)."""
     obs = observer(project(des))
-    rows = oracle_rows(des)
     roots = {}
     for x in obs:
         for q in states_of(x & mask_of(des.secret)):
             roots.setdefault((q, x & mask_of(des.nonsecret)), x)
 
-    stepped = {}
-
-    def successors(vertex):
-        q, z = vertex
-        if z not in stepped:
-            stepped[z] = [union_rows(row, z) for row in rows]
-        for j, (row, z2) in enumerate(zip(rows, stepped[z])):
-            for q2 in states_of(row[q]):
-                yield j, (q2, z2)
-
-    marked, depth = bounded_bfs(successors, roots, k, stop=lambda v: not v[1])
+    # a Subsumption without universal states admits every pair
+    marked, depth = reference_product_search(oracle_rows(des), Subsumption(0), roots, k)
     last = next(reversed(marked), None)
     if last is None or last[1]:
         return True, None, len(marked)
@@ -446,7 +469,7 @@ def _full_search(des, k):
     obs = observer(pg)
     kept = Subsumption(universal(pg))
     roots = compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret), kept)
-    marked, depth = bounded_bfs(weak.product_successors(pg, kept), roots, k, stop=lambda v: not v[1])
+    marked, depth = bounded_bfs(pg, kept, roots, k)
     last = next(reversed(marked), None)
     if last is None or last[1]:
         return True, None, depth, None
@@ -537,7 +560,7 @@ def test_admission_is_linear_in_the_seeds_of_one_state():
         for k in (0, 1, INFINITE):
             kept = Subsumption(universal(pg))
             roots = compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret), kept)
-            marked, depth = bounded_bfs(weak.product_successors(pg, kept), roots, k, stop=lambda v: not v[1])
+            marked, depth = bounded_bfs(pg, kept, roots, k)
             assert len(marked) == len(roots) == 2 ** (n - 1)
             assert depth == 0 and next(reversed(marked)) == (n, 0)
         v = verify_weak(des, INFINITE)
