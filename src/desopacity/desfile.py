@@ -66,22 +66,18 @@ def parse_des(text: str) -> Des:
 
     initial = frozenset(resolve_state(s, "initial") for s in field_list("initial"))
 
-    raw_transitions = field_list("transitions")
-    transitions = None
-    if set(map(type, raw_transitions)) <= {list} and set(map(len, raw_transitions)) <= {3}:
-        try:  # one pass when every name is known; a name is a str key or no key
-            transitions = {(state_index[p], event_index[e], state_index[q]) for p, e, q in raw_transitions}
+    transitions = set()
+    for t in field_list("transitions"):
+        if not (isinstance(t, list) and len(t) == 3):
+            raise DesFormatError("each transition must be a [source, event, target] triple")
+        src, ev, tgt = t
+        try:  # a name is a str key or no key
+            transitions.add((state_index[src], event_index[ev], state_index[tgt]))
         except (KeyError, TypeError):  # TypeError: a list or object as a name
-            pass
-    if transitions is None:  # item by item, to name the first malformed transition
-        transitions = set()
-        for t in raw_transitions:
-            if not (isinstance(t, list) and len(t) == 3):
-                raise DesFormatError("each transition must be a [source, event, target] triple")
-            src, ev, tgt = t
-            if not isinstance(ev, str) or ev not in event_index:
-                raise DesFormatError(f"unknown event name {ev!r} in transitions")
-            transitions.add((resolve_state(src, "transitions"), event_index[ev], resolve_state(tgt, "transitions")))
+            # name the unknown one: the event first, then the source, then the target
+            for kind, name, index in (("event", ev, event_index), ("state", src, state_index), ("state", tgt, state_index)):
+                if not isinstance(name, str) or name not in index:
+                    raise DesFormatError(f"unknown {kind} name {name!r} in transitions") from None
 
     secret = frozenset(resolve_state(s, "secret") for s in field_list("secret"))
     nonsecret = frozenset(resolve_state(s, "nonsecret") for s in field_list("nonsecret"))

@@ -38,10 +38,21 @@ class Mutant(NamedTuple):
 
 WEAK = "src/desopacity/weak.py"
 AUTOMATA = "src/desopacity/automata.py"
+STRONG = "src/desopacity/strong.py"
+DESFILE = "src/desopacity/desfile.py"
 ADMIT_TESTS = (
     "tests/test_automata.py::test_admit_applies_only_the_universal_rules",
     "tests/test_automata.py::test_admit_matches_its_contract",
 )
+NORMALIZE_TESTS = (
+    "tests/test_strong.py::test_normalize_matches_reference_on_fixtures_and_pool",
+    "tests/test_strong.py::test_normalize_matches_reference_on_random_systems",
+)
+TRANSFORM_TESTS = (
+    "tests/test_strong.py::test_strong_to_weak_fig8",
+    "tests/test_strong.py::test_verify_strong_matches_two_way_check_on_fixtures_and_pool",
+)
+PARSE_TESTS = ("tests/test_cli.py::test_parse_names_the_first_malformed_transition",)
 
 MUTANTS = (
     # admission
@@ -120,6 +131,53 @@ MUTANTS = (
         "    if not x & nonsecret and x & secret:\n        return parents\n    queue",
         "    queue",
         ("tests/test_automata.py::test_observer_matches_reference_on_random_weak_systems",),
+    ),
+    # normalization
+    Mutant(
+        "normalize-step-1-not-redirected",
+        STRONG,
+        "            delta.add((p, e, q + n if redirect else q))  # step (1)\n",
+        "            delta.add((p, e, q))  # step (1)\n",
+        NORMALIZE_TESTS,
+    ),
+    Mutant("normalize-step-2-dropped", STRONG, "            delta.add((p + n, e, q + n))  # step (2)\n", "", NORMALIZE_TESTS),
+    Mutant("normalize-step-3-dropped", STRONG, "            delta.add((p + n, e, q))  # step (3)\n", "", NORMALIZE_TESTS),
+    Mutant(
+        "normalize-step-3-second-target",
+        STRONG,
+        "            delta.add((p + n, e, q))  # step (3)\n",
+        "            delta.add((p + n, e, q))  # step (3)\n            delta.add((p + n, e, q + n))\n",
+        NORMALIZE_TESTS,
+    ),
+    # the strong-to-weak transformation
+    Mutant(
+        "transform-copies-no-moves",
+        STRONG,
+        "            delta.add((copy_map[p], e, copy_map[q]))\n",
+        "            pass\n",
+        TRANSFORM_TESTS,
+    ),
+    Mutant(
+        "transform-copies-observable-moves-only",
+        STRONG,
+        "        if p in copy_map and q in copy_map:\n",
+        "        if p in copy_map and q in copy_map and des.events[e].observable:\n",
+        TRANSFORM_TESTS,
+    ),
+    # parsing
+    Mutant(
+        "transition-name-type-error-uncaught",
+        DESFILE,
+        "        except (KeyError, TypeError):  # TypeError: a list or object as a name\n",
+        "        except KeyError:\n",
+        PARSE_TESTS,
+    ),
+    Mutant(
+        "transition-target-blamed-before-source",
+        DESFILE,
+        '("state", src, state_index), ("state", tgt, state_index)',
+        '("state", tgt, state_index), ("state", src, state_index)',
+        PARSE_TESTS,
     ),
 )
 

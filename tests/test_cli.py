@@ -51,6 +51,15 @@ def invoke(argv):
     return code, out.getvalue()
 
 
+def invoke_captured(argv, capsys):
+    """``invoke``'s exit code and output, and what the run wrote to stderr;
+    it writes nothing to stdout."""
+    code, out = invoke(argv)
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    return code, out, captured.err
+
+
 def test_parse_fig5():
     des = load_fixture("fig5")
     assert des.state_count == 4
@@ -137,19 +146,21 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("message, corrupt", MALFORMED.values(), ids=MALFORMED.keys())
-def test_parse_rejects_malformed_fields(message, corrupt, tmp_path):
+def test_parse_rejects_malformed_fields(message, corrupt, tmp_path, capsys):
     doc = json.loads(serialize_des(load_fixture("fig5")))
     corrupt(doc)
-    with pytest.raises(DesFormatError, match=message):
+    with pytest.raises(DesFormatError, match=message) as exc:
         parse_des(json.dumps(doc))
     path = tmp_path / "bad.des"
     path.write_text(json.dumps(doc))
-    assert invoke(["verify-weak", "--input", str(path), "--k", "1"])[0] == 2
+    argv = ["verify-weak", "--input", str(path), "--k", "1"]
+    assert invoke_captured(argv, capsys) == (2, "", f"error: {exc.value}\n")
 
 
 TRIPLE = "each transition must be a [source, event, target] triple"
-# fig5's transitions, each list replaced; a shape or name that a bulk
-# check could take for a triple of known names, and the message naming it
+# fig5's transitions, each list replaced: a shape that is not a triple, or a
+# name that is not a known one, and the message naming it.  Of the names in
+# one triple the event is named first, then the source, then the target.
 MALFORMED_TRANSITIONS = {
     "string-of-three": (["1a2"], TRIPLE),
     "object-of-three-names": ([{"1": "a", "a": "2", "2": "1"}], TRIPLE),
@@ -165,6 +176,8 @@ MALFORMED_TRANSITIONS = {
     "event-list": ([["1", ["a"], "2"]], "unknown event name ['a'] in transitions"),
     "target-int": ([["1", "a", 1]], "unknown state name 1 in transitions"),
     "target-null": ([["1", "a", None]], "unknown state name None in transitions"),
+    "source-and-target": ([["x", "a", "y"]], "unknown state name 'x' in transitions"),
+    "every-name": ([["x", "zz", "y"]], "unknown event name 'zz' in transitions"),
     # the first malformed transition is named, whatever follows it
     "valid-then-name": ([["1", "a", "2"], ["1", "a", True], "1a2"], "unknown state name True in transitions"),
     "name-then-shape": ([["1", "zz", "2"], ["1", "a"]], "unknown event name 'zz' in transitions"),
@@ -345,11 +358,12 @@ def test_cli_verify_weak_opaque():
     assert out == "OPAQUE\n"
 
 
-def test_cli_k_inf():
+def test_cli_k_inf(capsys):
     code, out = invoke(["verify-weak", "--input", fixture_path("fig2"), "--k", "inf"])
     assert code == 0
-    code, _ = invoke(["verify-weak", "--input", fixture_path("fig2"), "--k", "nope"])
-    assert code == 2
+    argv = ["verify-weak", "--input", fixture_path("fig2"), "--k", "nope"]
+    message = "invalid k: 'nope' (expected a nonnegative integer or 'inf')"
+    assert invoke_captured(argv, capsys) == (2, "", f"error: {message}\n")
 
 
 def test_cli_verify_strong():
@@ -655,17 +669,19 @@ def test_cli_runs_as_a_module():
     assert done.returncode == 2 and done.stdout == "" and done.stderr.startswith("usage: desopacity")
 
 
-def test_cli_main_exits_with_run_code(monkeypatch):
+def test_cli_main_exits_with_run_code(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["desopacity", "verify-weak", "--input", "/does/not/exist", "--k", "1"])
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 2
+    with pytest.raises(OSError) as missing:
+        Path("/does/not/exist").read_text()
+    assert capsys.readouterr() == ("", f"error: {missing.value}\n")
 
 
-def test_cli_bench_rejects_zero_repeat():
-    code, out = invoke(["bench", "--input", fixture_path("fig1"), "--k-list", "1", "--repeat", "0"])
-    assert code == 2
-    assert out == ""
+def test_cli_bench_rejects_zero_repeat(capsys):
+    argv = ["bench", "--input", fixture_path("fig1"), "--k-list", "1", "--repeat", "0"]
+    assert invoke_captured(argv, capsys) == (2, "", "error: --repeat must be at least 1\n")
 
 
 def _top_level_run(argv, out):
@@ -731,13 +747,15 @@ def test_cli_builds_parser_once(monkeypatch):
 
 
 def _expected(compute, render):
-    """What the CLI should report: the library's result rendered, or exit 2
-    with no output where the library rejects the input."""
+    """What the CLI should report as (exit code, output, stderr): the
+    library's result rendered with empty stderr, or exit 2 with no output
+    and one ``error:`` line holding the library's message where the library
+    rejects the input."""
     try:
         result = compute()
-    except ValueError:
-        return 2, ""
-    return render(result)
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    return render(result) + ("",)
 
 
 def _strong_output(des, verdict):
@@ -757,7 +775,7 @@ def _oracle_output(des, s):
     return 1, f"NOT_OPAQUE\ns={word}\n"
 
 
-def test_strong_library_matches_cli_without_nonsecret(tmp_path):
+def test_strong_library_matches_cli_without_nonsecret(tmp_path, capsys):
     # The strong-mode commands and the library functions apply one input rule:
     # a file without "nonsecret" reads as the complement of its secret states.
     docs = [json.loads(serialize_des(load_fixture(name))) for name in FIXTURES]
@@ -771,17 +789,18 @@ def test_strong_library_matches_cli_without_nonsecret(tmp_path):
         des = parse_des(path.read_text())
         for k in (0, 1, INFINITE):
             argv = ["verify-strong", "--input", str(path), "--k", str(k), "--witness"]
-            assert invoke(argv) == _expected(lambda: verify_strong(des, k), lambda v: _strong_output(des, v)), argv
+            expected = _expected(lambda: verify_strong(des, k), lambda v: _strong_output(des, v))
+            assert invoke_captured(argv, capsys) == expected, argv
             argv = ["oracle", "strong", "--input", str(path), "--k", str(k), "--mu-max", "8", "--nu-max", "0"]
             expected = _expected(lambda: strong_violation_search(des, k, bounds), lambda s: _oracle_output(des, s))
-            assert invoke(argv) == expected, argv
+            assert invoke_captured(argv, capsys) == expected, argv
         for command, compute in (
             ("normalize", lambda: normalize(des)),
             ("transform", lambda: strong_to_weak(des).des_prime),
         ):
             out_file = tmp_path / f"{command}{i}.des"
-            code, out = invoke([command, "--input", str(path), "--output", str(out_file)])
-            got = (code, out) + ((out_file.read_text(),) if out_file.exists() else ())
+            code, out, err = invoke_captured([command, "--input", str(path), "--output", str(out_file)], capsys)
+            got = (code, out) + ((out_file.read_text(),) if out_file.exists() else ()) + (err,)
             assert got == _expected(compute, lambda d: (0, "", serialize_des(d))), (command, i)
             written += code == 0
     assert written >= 50
