@@ -25,7 +25,6 @@ from .oracle import (
     weak_violation_search,
 )
 from .strong import (
-    ReductionResult,
     is_normal,
     normalize,
     reduce_to_weak,

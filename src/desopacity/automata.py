@@ -192,16 +192,6 @@ def _closure(succ: list, mask: int) -> int:
     return mask
 
 
-def _unobservable_successors(des: Des) -> list:
-    """Per state, the mask of its successors on unobservable events."""
-    observable = [e.observable for e in des.events.entries]
-    succ = [0] * des.state_count
-    for (p, e, q) in des.transitions:
-        if not observable[e]:
-            succ[p] |= 1 << q
-    return succ
-
-
 @dataclass(frozen=True)
 class Projection:
     """The projected automaton, as one packed row per state.
@@ -264,7 +254,11 @@ def project(des: Des) -> Projection:
     closure of q into p's moves at event j's offset, and a state's packed
     row is the union of the moves over its closure."""
     n = des.state_count
-    unobservable = _unobservable_successors(des)
+    observable = [e.observable for e in des.events.entries]
+    unobservable = [0] * n
+    for (p, e, q) in des.transitions:
+        if not observable[e]:
+            unobservable[p] |= 1 << q
     closures = [_closure(unobservable, 1 << q) if unobservable[q] else 1 << q for q in range(n)]
     offsets = {e: j * n for j, e in enumerate(des.events.observable_indices())}
     moves = [0] * n

@@ -102,7 +102,7 @@ def _cmd_normalize(args, out) -> int:
 
 
 def _cmd_transform(args, out) -> int:
-    Path(args.output).write_text(serialize_des(strong_to_weak(_load(args.input)).des_prime), encoding="utf-8")
+    Path(args.output).write_text(serialize_des(strong_to_weak(_load(args.input))), encoding="utf-8")
     return 0
 
 

@@ -6,7 +6,7 @@ drawn; secret states are double-circled.
 
 from __future__ import annotations
 
-from .automata import Des, Projection, observer, project, states_of
+from .automata import Des, observer, project, states_of
 
 
 def _quote(s: str) -> str:
@@ -28,25 +28,13 @@ def des_to_dot(des: Des) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _estimate_successors(pg: Projection, x: int):
-    """The (event index, estimate) pairs of the nonempty steps of the
-    estimate x, in event order, read off one packed ``pg.step(x)``."""
+def observer_to_dot(des: Des) -> str:
+    """The observer of ``des``: states numbered in discovery order, and
+    each estimate's edges read off one ``pg.step(x)``, event by event, as
+    the observer reads them."""
+    pg = project(des)
     n = pg.state_count
     full = (1 << n) - 1
-    y = pg.step(x)
-    j = 0
-    while y:
-        z = y & full
-        if z:
-            yield j, z
-        y >>= n
-        j += 1
-
-
-def observer_to_dot(des: Des) -> str:
-    """The observer of ``des``: states numbered in discovery order, edges
-    stepped through the projection's kernel, as the observer is."""
-    pg = project(des)
     index = {x: i for i, x in enumerate(observer(pg))}
 
     def estimate_label(x):
@@ -58,7 +46,11 @@ def observer_to_dot(des: Des) -> str:
     lines.append("  __init -> s0;")
     for x, i in index.items():
         # transitions into the empty-estimate sink are omitted
-        for j, y in _estimate_successors(pg, x):
-            lines.append(f"  s{i} -> s{index[y]} [label={_quote(pg.event_names[j])}];")
+        y = pg.step(x)
+        for name in pg.event_names:
+            z = y & full
+            if z:
+                lines.append(f"  s{i} -> s{index[z]} [label={_quote(name)}];")
+            y >>= n
     lines.append("}")
     return "\n".join(lines) + "\n"

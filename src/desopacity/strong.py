@@ -7,6 +7,12 @@ unreachable states are dropped.  The normalized system is then transformed:
 a nonsecret copy of its nonsecret part is attached through a fresh
 unobservable event, all original states become secret, and weak k-step
 opacity of the result coincides with strong k-step opacity of the input.
+
+``verify_strong`` runs ``normalize``, then ``strong_to_weak``, then the weak
+verifier.  ``reduce_to_weak`` and its one-field ``ReductionResult`` are the
+seam that the CLI's ``verify-strong`` and the benchmark's checks and tracing
+read (as ``reduce_to_weak(des)[1].des_prime``); they go once the CLI calls
+``verify_strong`` (item 3b in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -115,7 +121,7 @@ def _fresh_event_name(events: EventTable) -> str:
     return f"u{i}"
 
 
-def strong_to_weak(des: Des) -> ReductionResult:
+def strong_to_weak(des: Des) -> Des:
     """Attach a nonsecret copy of the nonsecret part via a fresh unobservable event.
 
     In the result all original states are secret and exactly the copies are
@@ -138,7 +144,7 @@ def strong_to_weak(des: Des) -> ReductionResult:
         delta.add((q, fresh_index, copy_map[q]))
     names, primes = _prime_names(des)
     state_names = names + tuple(primes[q] for q in ns_sorted)
-    des_prime = Des(
+    return Des(
         state_count=n + len(ns_sorted),
         events=events,
         transitions=frozenset(delta),
@@ -147,14 +153,13 @@ def strong_to_weak(des: Des) -> ReductionResult:
         nonsecret=frozenset(copy_map.values()),
         state_names=state_names,
     )
-    return ReductionResult(des_prime)
 
 
 def reduce_to_weak(des: Des) -> tuple:
     """Normalization, which always runs, followed by the strong-to-weak
     transformation.  Returns (normalized system, reduction)."""
     des_n = normalize(des)
-    return des_n, strong_to_weak(des_n)
+    return des_n, ReductionResult(strong_to_weak(des_n))
 
 
 def verify_strong(des: Des, k: KBound) -> Verdict:
@@ -164,5 +169,4 @@ def verify_strong(des: Des, k: KBound) -> Verdict:
     drops the unreachable states even of a normal input; its observation
     strings are over the original observable alphabet.
     """
-    _norm, reduction = reduce_to_weak(des)
-    return verify_weak(reduction.des_prime, k)
+    return verify_weak(strong_to_weak(normalize(des)), k)

@@ -40,6 +40,8 @@ WEAK = "src/desopacity/weak.py"
 AUTOMATA = "src/desopacity/automata.py"
 STRONG = "src/desopacity/strong.py"
 DESFILE = "src/desopacity/desfile.py"
+CLI = "src/desopacity/cli.py"
+DOT = "src/desopacity/dot.py"
 ADMIT_TESTS = (
     "tests/test_automata.py::test_admit_applies_only_the_universal_rules",
     "tests/test_automata.py::test_admit_matches_its_contract",
@@ -53,6 +55,7 @@ TRANSFORM_TESTS = (
     "tests/test_strong.py::test_verify_strong_matches_two_way_check_on_fixtures_and_pool",
 )
 PARSE_TESTS = ("tests/test_cli.py::test_parse_names_the_first_malformed_transition",)
+DECIDED_TESTS = ("tests/test_weak.py::test_decided_verdict_matches_the_full_search",)
 
 MUTANTS = (
     # admission
@@ -132,6 +135,63 @@ MUTANTS = (
         "    queue",
         ("tests/test_automata.py::test_observer_matches_reference_on_random_weak_systems",),
     ),
+    # the universal states
+    Mutant(
+        "universal-any-successor",
+        WEAK,
+        "                if not (row >> offset) & kept:\n",
+        "                if not (row >> offset) & ((1 << n) - 1):\n",
+        ("tests/test_automata.py::test_universal_matches_oracle_references",),
+    ),
+    # the forks that stay on the verify request path
+    Mutant(
+        "two-table-high-dropped",
+        AUTOMATA,
+        "            return low[mask & BYTE] | high[mask >> BLOCK]\n",
+        "            return low[mask & BYTE]\n",
+        ("tests/test_automata.py::test_step_kernel_matches_rows",),
+    ),
+    Mutant(
+        "decided-witness-highest-secret",
+        WEAK,
+        "states_of(x & secret)[0]",
+        "states_of(x & secret)[-1]",
+        DECIDED_TESTS,
+    ),
+    Mutant("decided-stats-no-root", WEAK, "VerifyStats(len(obs), 0, 1, 0)", "VerifyStats(len(obs), 0, 0, 0)", DECIDED_TESTS),
+    Mutant(
+        "harvest-key-secret-only",
+        WEAK,
+        "        key = x & marked\n",
+        "        key = x & secret\n",
+        (
+            "tests/test_weak.py::test_verify_weak_pruning_matches_unpruned_search",
+            "tests/test_weak.py::test_universal_pruning_keeps_verdicts_on_fixtures_and_pools",
+            *DECIDED_TESTS,
+        ),
+    ),
+    Mutant(
+        "unread-arguments-accepted",
+        CLI,
+        "        if command is None or unread:\n",
+        "        if command is None:\n",
+        ("tests/test_cli.py::test_run_reads_arguments_as_the_top_level_parser_does",),
+    ),
+    # the projection and the DOT export
+    Mutant(
+        "unobservable-successors-of-observable-events",
+        AUTOMATA,
+        "        if not observable[e]:\n",
+        "        if observable[e]:\n",
+        ("tests/test_automata.py::test_project_definitional_identity",),
+    ),
+    Mutant(
+        "dot-edges-not-shifted",
+        DOT,
+        "            y >>= n\n",
+        "",
+        ("tests/test_cli.py::test_cli_observer_dot",),
+    ),
     # normalization
     Mutant(
         "normalize-step-1-not-redirected",
@@ -163,6 +223,13 @@ MUTANTS = (
         "        if p in copy_map and q in copy_map:\n",
         "        if p in copy_map and q in copy_map and des.events[e].observable:\n",
         TRANSFORM_TESTS,
+    ),
+    Mutant(
+        "reduction-skips-normalize",
+        STRONG,
+        "ReductionResult(strong_to_weak(des_n))",
+        "ReductionResult(strong_to_weak(des))",
+        ("tests/test_strong.py::test_reduce_to_weak_always_normalizes",),
     ),
     # parsing
     Mutant(

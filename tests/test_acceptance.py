@@ -114,7 +114,7 @@ def test_criterion_4_construction_properties():
             assert is_deterministic(des_n)
             assert not (simulate_observation(des_n, des_n.secret, ()) - des_n.secret)
             if is_normal(des):
-                prime = strong_to_weak(des).des_prime
+                prime = strong_to_weak(des)
                 assert len(observer(project(prime))) == len(observer(project(des)))
             checked += 1
         assert checked >= 200

@@ -480,7 +480,23 @@ def test_cli_observer_dot(tmp_path):
     assert dot_file.read_text() == FIG2_OBSERVER_DOT
 
 
-@pytest.mark.parametrize("des", [load_fixture("fig2"), benchmark_nth_letter(6)], ids=["fig2", "nth_letter_6"])
+# no observable event: the observer is its initial estimate, with no edge
+NO_OBSERVABLE_EVENT = Des(
+    state_count=3,
+    events=make_events([], ["u"]),
+    transitions=frozenset({(0, 0, 1), (1, 0, 2)}),
+    initial=frozenset({0}),
+    secret=frozenset({2}),
+)
+
+
+# a random weak system of 20 states (above 16, so the kernel's loop steps
+# it) with unobservable moves, so that project runs _closure
+@pytest.mark.parametrize(
+    "des",
+    [load_fixture("fig2"), benchmark_nth_letter(6), random_weak_instance(3, n=20), NO_OBSERVABLE_EVENT],
+    ids=["fig2", "nth_letter_6", "random_weak_20", "no_observable_event"],
+)
 def test_observer_dot_matches_reference_observer(des):
     # the edges are each estimate's nonempty slices of its union of packed
     # rows, in event order, numbered by a plain BFS's discovery order
@@ -796,7 +812,7 @@ def test_strong_library_matches_cli_without_nonsecret(tmp_path, capsys):
             assert invoke_captured(argv, capsys) == expected, argv
         for command, compute in (
             ("normalize", lambda: normalize(des)),
-            ("transform", lambda: strong_to_weak(des).des_prime),
+            ("transform", lambda: strong_to_weak(des)),
         ):
             out_file = tmp_path / f"{command}{i}.des"
             code, out, err = invoke_captured([command, "--input", str(path), "--output", str(out_file)], capsys)

@@ -196,8 +196,8 @@ def test_normalize_structural_guarantees():
 
 def test_strong_to_weak_fig8():
     des = load_fixture("fig8")
-    result = strong_to_weak(des)
-    prime = result.des_prime
+    prime = strong_to_weak(des)
+    assert isinstance(prime, Des)
     assert prime.state_count == 8 + 6
     assert {prime.state_name(q) for q in prime.secret} == {"1", "2", "3", "4", "5", "6", "7", "8"}
     assert {prime.state_name(q) for q in prime.nonsecret} == {"1'", "2'", "3'", "5'", "7'", "8'"}
@@ -206,20 +206,19 @@ def test_strong_to_weak_fig8():
 
 def test_strong_to_weak_fresh_event_avoids_collision():
     des = load_fixture("fig8")  # already uses "u1"
-    assert _added_event(des, strong_to_weak(des).des_prime) == "u"
+    assert _added_event(des, strong_to_weak(des)) == "u"
     renamed_events = make_events(["a", "b", "c"], ["u"])
     clash = dataclasses.replace(des, events=renamed_events)
-    assert _added_event(clash, strong_to_weak(clash).des_prime) == "u1"
+    assert _added_event(clash, strong_to_weak(clash)) == "u1"
     clash = dataclasses.replace(des, events=make_events(["a", "b", "c"], ["u", "u1"]))
-    assert _added_event(clash, strong_to_weak(clash).des_prime) == "u2"
+    assert _added_event(clash, strong_to_weak(clash)) == "u2"
 
 
 def test_strong_to_weak_single_fresh_occurrence():
     for seed in range(40):
         des = random_det_instance(seed, n=5, density=0.7)
         base = des if is_normal(des) else normalize(des)
-        result = strong_to_weak(base)
-        prime = result.des_prime
+        prime = strong_to_weak(base)
         u = prime.events.index(_added_event(base, prime))
         copies = prime.nonsecret
         for (p, e, q) in prime.transitions:
@@ -231,8 +230,7 @@ def test_strong_to_weak_single_fresh_occurrence():
 
 def test_strong_to_weak_normalized_fig5():
     base = normalize(load_fixture("fig5"))
-    result = strong_to_weak(base)
-    prime = result.des_prime
+    prime = strong_to_weak(base)
     assert {prime.state_name(q) for q in prime.nonsecret} == {"1'", "4'"}
     trans = _named_transitions(prime)
     u = _added_event(base, prime)  # "u" is taken by the input alphabet
@@ -300,7 +298,7 @@ def test_reduce_to_weak_always_normalizes():
     # a fully reachable normal input reduces as if normalization were skipped
     for name in ("fig8", "fig10"):
         des = load_fixture(name)
-        assert reduce_to_weak(des)[1].des_prime == strong_to_weak(des).des_prime
+        assert reduce_to_weak(des)[1].des_prime == strong_to_weak(des)
 
 
 def test_normalize_gives_a_deterministic_normal_system():
@@ -319,8 +317,7 @@ def test_observer_counts_preserved_for_normal_inputs():
         des = random_det_instance(seed, n=6, obs=2, unobs=1, density=0.8)
         if not is_normal(des):
             continue
-        result = strong_to_weak(des)
-        assert len(observer(project(result.des_prime))) == len(observer(project(des)))
+        assert len(observer(project(strong_to_weak(des)))) == len(observer(project(des)))
         checked += 1
     assert checked >= 50
 
