@@ -58,15 +58,22 @@ def _summary(workload: str, trace: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def record(workload: str) -> dict:
+def provenance() -> dict:
+    """What was measured, and on what: the fields every record holds."""
     return {
-        "workload": workload,
-        "command": f"benchmark/run.py --workload {workload} --seed {SEED} --seconds {SECONDS} --trace <0|1>",
         "trees": _trees(),
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted_changes": _git("status", "--porcelain", "--", *MEASURED) != "",
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
+    }
+
+
+def record(workload: str) -> dict:
+    return {
+        "workload": workload,
+        "command": f"benchmark/run.py --workload {workload} --seed {SEED} --seconds {SECONDS} --trace <0|1>",
+        **provenance(),
         "trace_0": _summary(workload, 0),
         "trace_1": _summary(workload, 1),
     }

@@ -10,7 +10,9 @@ observer with the observations read off it.
 Sets of states inside these constructions are int bitmasks: bit q is set
 iff state q is in the set, and the empty set is 0.  The projection has one
 representation: per state, one packed int of its successors on every
-observable event, event j's at bit offset j·n for n states.  The step
+observable event, event j's at bit offset j·n for n states.  ``project``
+builds the rows in one pass over the strongly connected components of the
+unobservable graph, O(n + m_u) unions for m_u unobservable moves.  The step
 kernel tables, for each block of 8 states, the union of their packed rows
 over all 256 subsets of the block, so stepping an estimate ORs one lookup
 per 8 states and reads each event's successor off with a shift and a mask.
@@ -174,7 +176,7 @@ def states_of(mask: int) -> tuple:
 
 def union_rows(row, mask: int) -> int:
     """Union of ``row[q]`` over the states q in ``mask``, one state at a time:
-    a closure's step, and ``project``'s union of packed rows over a closure."""
+    a closure's step, and ``_condense``'s union over a component's mask."""
     out = 0
     while mask:
         low = mask & -mask
@@ -184,7 +186,8 @@ def union_rows(row, mask: int) -> int:
 
 
 def _closure(succ: list, mask: int) -> int:
-    """States reachable from ``mask`` along the per-state successor masks ``succ``."""
+    """States reachable from ``mask`` along the per-state successor masks
+    ``succ``, one ``union_rows`` per level: ``normalize``'s reachability."""
     frontier = mask
     while frontier:
         frontier = union_rows(succ, frontier) & ~mask
@@ -248,25 +251,90 @@ def _step_kernel(packed: tuple) -> Callable[[int], int]:
     return step
 
 
+def _components(succ: list) -> list:
+    """The strongly connected components of the graph whose state q has the
+    successor mask ``succ[q]``, each after every component it reaches, by
+    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) with explicit stacks.
+    Each is a pair: the list of its states, and the mask of them and their
+    successors.  A state with no successor is in none: it reaches itself."""
+    index = [0] * len(succ)  # 1 + DFS number
+    low = [0] * len(succ)
+    fresh = mask_of(q for q, row in enumerate(succ) if row)  # not yet visited
+    path = []  # the DFS path
+    stack = []  # Tarjan's stack, and ``on`` its mask
+    on = count = 0
+    comps = []
+    while True:
+        todo = fresh & succ[path[-1]] if path else fresh
+        if todo:
+            bit = todo & -todo
+            fresh ^= bit
+            p = bit.bit_length() - 1
+            count += 1
+            index[p] = low[p] = count
+            # the edges into the stack, read at p's visit: a successor
+            # visited after p has a higher number, and lowers no low-link
+            back = succ[p] & on
+            while back:
+                q = (back & -back).bit_length() - 1
+                back ^= 1 << q
+                low[p] = min(low[p], index[q])
+            on |= bit
+            stack.append(p)
+            path.append(p)
+            continue
+        if not path:
+            return comps
+        p = path.pop()
+        if path and low[p] < low[path[-1]]:
+            low[path[-1]] = low[p]  # and p, above its parent, is no root
+        elif low[p] == index[p]:
+            members = []
+            reach = 1 << p
+            q = None
+            while q != p:
+                q = stack.pop()
+                members.append(q)
+                on ^= 1 << q
+                reach |= succ[q]
+            comps.append((members, reach))
+
+
+def _condense(comps: list, rows: list) -> list:
+    """Per state q, the union of ``rows[r]`` over the states r that q
+    reaches, q included, given the graph's ``_components``: a component's
+    union is ``out``'s over its mask, where its own states still hold their
+    rows and each other state is done or reaches only itself."""
+    out = list(rows)
+    for members, reach in comps:
+        row = union_rows(out, reach)
+        for q in members:
+            out[q] = row
+    return out
+
+
 def project(des: Des) -> Projection:
-    """Projection onto the observable alphabet: the unobservable closure of
-    each state is computed once, each observable move p -e_j-> q puts the
-    closure of q into p's moves at event j's offset, and a state's packed
-    row is the union of the moves over its closure."""
+    """Projection onto the observable alphabet: the unobservable graph's
+    components give each state's unobservable closure, each observable
+    move p -e_j-> q puts the closure of q into p's moves at event j's
+    offset, and the components give each state's packed row, the union of
+    the moves over its closure: O(n + m_u) unions for m_u unobservable
+    moves."""
     n = des.state_count
     observable = [e.observable for e in des.events.entries]
     unobservable = [0] * n
     for (p, e, q) in des.transitions:
         if not observable[e]:
             unobservable[p] |= 1 << q
-    closures = [_closure(unobservable, 1 << q) if unobservable[q] else 1 << q for q in range(n)]
+    comps = _components(unobservable)
+    closures = _condense(comps, [1 << q for q in range(n)])
     offsets = {e: j * n for j, e in enumerate(des.events.observable_indices())}
     moves = [0] * n
     for (p, e, q) in des.transitions:
         offset = offsets.get(e)
         if offset is not None:
             moves[p] |= closures[q] << offset
-    packed = tuple(union_rows(moves, closures[q]) for q in range(n))
+    packed = tuple(_condense(comps, moves))
     return Projection(
         event_names=tuple(des.events[e].name for e in offsets),
         packed=packed,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from desopacity import INFINITE, Des, is_deterministic, mask_of, states_of
 from desopacity.automata import union_rows
-from desopacity.oracle import GeneratorParams, OracleBounds, _event_adj, random_des, simulate_observation
+from desopacity.oracle import GeneratorParams, OracleBounds, _close, _event_adj, _unobs_adj, random_des, simulate_observation
 
 
 def random_weak_instance(seed, n=4, obs=2, unobs=1, density=1.2, secret=0.3, neutral=0.3):
@@ -144,9 +144,14 @@ def reference_product_search(rows, kept, roots, k, stop=lambda v: not v[1]):
 def oracle_rows(des):
     """Per observable event in event-table order, per state q: the mask of
     states the oracle's simulation reaches from {q} on that one event.  A
-    reference for the projection that shares no code with ``project``."""
-    names = [e.name for e in des.events.entries if e.observable]
-    return [[mask_of(simulate_observation(des, {q}, [name])) for q in range(des.state_count)] for name in names]
+    reference for the projection that shares no code with ``project``: the
+    steps of ``simulate_observation``, with its adjacency built once."""
+    adj, uadj = _event_adj(des), _unobs_adj(des)
+    closures = [_close(uadj, {q}) for q in range(des.state_count)]
+    return [
+        [mask_of(_close(uadj, {r for p in closure for r in adj.get((p, e), ())})) for closure in closures]
+        for e in des.events.observable_indices()
+    ]
 
 
 def two_way_violation_depth(des):

@@ -56,6 +56,10 @@ TRANSFORM_TESTS = (
 )
 PARSE_TESTS = ("tests/test_cli.py::test_parse_names_the_first_malformed_transition",)
 DECIDED_TESTS = ("tests/test_weak.py::test_decided_verdict_matches_the_full_search",)
+CONDENSATION_TESTS = (
+    "tests/test_automata.py::test_project_condenses_unobservable_components",
+    "tests/test_automata.py::test_project_matches_oracle_rows_on_random_systems",
+)
 
 MUTANTS = (
     # admission
@@ -184,6 +188,34 @@ MUTANTS = (
         "        if not observable[e]:\n",
         "        if observable[e]:\n",
         ("tests/test_automata.py::test_project_definitional_identity",),
+    ),
+    Mutant(
+        "low-link-of-back-edge-dropped",
+        AUTOMATA,
+        "                low[p] = min(low[p], index[q])\n",
+        "                pass\n",
+        CONDENSATION_TESTS,
+    ),
+    Mutant(
+        "low-link-not-passed-to-parent",
+        AUTOMATA,
+        "            low[path[-1]] = low[p]  # and p, above its parent, is no root\n",
+        "            pass\n",
+        CONDENSATION_TESTS,
+    ),
+    Mutant(
+        "on-stack-test-keeps-finished-components",
+        AUTOMATA,
+        "                on ^= 1 << q\n",
+        "",
+        CONDENSATION_TESTS,
+    ),
+    Mutant(
+        "condensation-skips-other-components",
+        AUTOMATA,
+        "        row = union_rows(out, reach)\n",
+        "        row = union_rows(rows, reach)\n",
+        CONDENSATION_TESTS,
     ),
     Mutant(
         "dot-edges-not-shifted",

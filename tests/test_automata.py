@@ -117,6 +117,97 @@ def test_project_definitional_identity():
                 assert event_slice(pg, pg.packed[q], new_e) == mask_of(expected)
 
 
+def _check_projection_against_oracle(des):
+    """``project``'s rows are the oracle's, packed, and its initial estimate
+    is the oracle's simulation of no event from the initial states."""
+    pg = project(des)
+    n = des.state_count
+    assert pg.event_names == tuple(e.name for e in des.events.entries if e.observable)
+    assert pg.initial == mask_of(simulate_observation(des, des.initial, ()))
+    rows = oracle_rows(des)
+    assert pg.packed == tuple(sum(row[q] << j * n for j, row in enumerate(rows)) for q in range(n))
+
+
+def _unobservable_graph(n, unobservable, observable, initial=(0,)):
+    """A system of n states over the observable events a, b and the
+    unobservable u, v, its moves given as (source, event name, target)."""
+    events = make_events(["a", "b"], ["u", "v"])
+    return Des(
+        state_count=n,
+        events=events,
+        transitions=frozenset((p, events.index(e), q) for (p, e, q) in (*unobservable, *observable)),
+        initial=frozenset(initial),
+    )
+
+
+RING = 40
+# unobservable cycles, and components that reach other components
+CONDENSATION_CASES = {
+    "self_loop": _unobservable_graph(3, [(0, "u", 0), (1, "v", 1)], [(0, "a", 1), (1, "b", 2), (2, "a", 0)]),
+    "two_cycle": _unobservable_graph(3, [(0, "u", 1), (1, "v", 0)], [(1, "a", 2), (2, "b", 0), (0, "b", 2)]),
+    "ring_40": _unobservable_graph(
+        RING,
+        [(q, "u", (q + 1) % RING) for q in range(RING)],
+        [(7, "a", RING - 1), *((q, "b", q) for q in range(0, RING, 5))],
+    ),
+    # the cycle {0, 1} reaches the cycle {2, 3}, which reaches the chain 4, 5
+    "components_reach_components": _unobservable_graph(
+        7,
+        [(0, "u", 1), (1, "u", 0), (1, "v", 2), (2, "u", 3), (3, "u", 2), (3, "v", 4), (4, "u", 5)],
+        [(5, "a", 0), (2, "b", 6), (4, "a", 1), (6, "a", 3), (0, "b", 0)],
+    ),
+    "diamond": _unobservable_graph(
+        5,
+        [(0, "u", 1), (0, "v", 2), (1, "v", 3), (2, "u", 3), (3, "u", 4)],
+        [(3, "a", 0), (1, "b", 2), (2, "a", 4), (4, "b", 1)],
+    ),
+    # the initial states 1 and 4 lie in the cycles {0, 1} and {3, 4}
+    "initial_in_two_components": _unobservable_graph(
+        6,
+        [(0, "u", 1), (1, "u", 0), (1, "v", 2), (3, "v", 4), (4, "u", 3)],
+        [(2, "a", 3), (0, "b", 5), (5, "a", 4), (3, "b", 0)],
+        initial=(1, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONDENSATION_CASES)
+def test_project_condenses_unobservable_components(name):
+    _check_projection_against_oracle(CONDENSATION_CASES[name])
+
+
+def test_project_long_unobservable_chain():
+    # q -u-> q+1 for 5,000 states: deeper than Python's default recursion
+    # limit; a at every state loops back, b leads from the last to the first
+    n = 5000
+    des = _unobservable_graph(n, [(q, "u", q + 1) for q in range(n - 1)], [(q, "a", q) for q in range(n)] + [(n - 1, "b", 0)])
+    pg = project(des)
+    full = (1 << n) - 1
+    assert pg.initial == full
+    # the closure of q is {q, ..., n-1}; its a-successors are itself, and
+    # its b-successor is the closure of state 0, every state
+    assert pg.packed == tuple((full ^ ((1 << q) - 1)) | full << n for q in range(n))
+
+
+def _has_unobservable_cycle(des):
+    unobservable = set(des.events.unobservable_indices())
+    succ = {}
+    for (p, e, q) in des.transitions:
+        if e in unobservable:
+            succ.setdefault(p, set()).add(q)
+    return any(p in simulate_observation(des, targets, ()) for p, targets in succ.items())
+
+
+def test_project_matches_oracle_rows_on_random_systems():
+    rng = random.Random(26)
+    cyclic = 0
+    for seed in range(600):
+        des = random_weak_instance(seed, n=rng.randint(3, 42), unobs=rng.randint(1, 3), density=rng.uniform(0.8, 2.4))
+        _check_projection_against_oracle(des)
+        cyclic += _has_unobservable_cycle(des)
+    assert cyclic >= 500
+
+
 def test_observer_chain():
     des = load_fixture("fig5")
     obs = observer(project(des))

@@ -491,7 +491,7 @@ NO_OBSERVABLE_EVENT = Des(
 
 
 # a random weak system of 20 states (above 16, so the kernel's loop steps
-# it) with unobservable moves, so that project runs _closure
+# it) with unobservable moves, so that project condenses their components
 @pytest.mark.parametrize(
     "des",
     [load_fixture("fig2"), benchmark_nth_letter(6), random_weak_instance(3, n=20), NO_OBSERVABLE_EVENT],
