@@ -69,6 +69,14 @@ def provenance() -> dict:
     }
 
 
+def add_run(output: Path, header: dict, new: dict) -> None:
+    """Write the record file ``output``: ``header``'s fields, then its
+    runs with ``new`` in place of an earlier run of the same ``src`` tree."""
+    runs = json.loads(output.read_text(encoding="utf-8"))["runs"] if output.exists() else []
+    runs = [r for r in runs if r["trees"]["src"] != new["trees"]["src"]] + [new]
+    output.write_text(json.dumps({**header, "runs": runs}, indent=2) + "\n", encoding="utf-8")
+
+
 def record(workload: str) -> dict:
     return {
         "workload": workload,

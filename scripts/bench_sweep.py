@@ -27,7 +27,6 @@ commit adds that commit's run to the same file for comparison.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -35,7 +34,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from bench_record import ROOT, provenance  # noqa: E402
+from bench_record import ROOT, add_run, provenance  # noqa: E402
 from desopacity import INFINITE, Des, make_events, project, verify_weak  # noqa: E402
 from desopacity.oracle import GeneratorParams, random_des  # noqa: E402
 
@@ -93,16 +92,7 @@ def run() -> dict:
 
 def main(argv) -> int:
     output = Path(argv[0]) if argv else ROOT / "BENCH_project_sweep.json"
-    runs = json.loads(output.read_text(encoding="utf-8"))["runs"] if output.exists() else []
-    new = run()
-    runs = [r for r in runs if r["trees"]["src"] != new["trees"]["src"]] + [new]
-    record = {
-        "command": "scripts/bench_sweep.py",
-        "sizes": list(SIZES),
-        "best_of": REPEATS,
-        "runs": runs,
-    }
-    output.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    add_run(output, {"command": "scripts/bench_sweep.py", "sizes": list(SIZES), "best_of": REPEATS}, run())
     return 0
 
 

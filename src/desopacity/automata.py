@@ -13,11 +13,13 @@ representation: per state, one packed int of its successors on every
 observable event, event j's at bit offset j·n for n states.  ``project``
 builds the rows in one pass over the strongly connected components of the
 unobservable graph, O(n + m_u) unions for m_u unobservable moves.  The step
-kernel tables, for each block of 8 states, the union of their packed rows
-over all 256 subsets of the block, so stepping an estimate ORs one lookup
-per 8 states and reads each event's successor off with a shift and a mask.
-With 9 to 16 states, two tables, the step is two lookups ORed, with no
-loop.  The observer, the weak verifier's product and the DOT
+kernel tables, for each block of states, the union of their packed rows
+over all subsets of the block, so stepping an estimate ORs one lookup per
+block and reads each event's successor off with a shift and a mask.  Up to
+16 states a block holds 8 states, and with 9 to 16 states, two tables, the
+step is two lookups ORed, with no loop.  Above 16 states a block holds 6,
+a table of 64 entries in place of 256: cheaper to build, for searches that
+step few estimates.  The observer, the weak verifier's product and the DOT
 export step through this kernel.  The observer runs its own breadth-first
 loop and records only each estimate's parent estimate, from which
 ``observation`` reads an observation back; it stops at the first estimate
@@ -30,9 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-# States per lookup table of the step kernel: each table has 2^BLOCK entries.
+# States per lookup table of the step kernel, a table of 2^width entries:
+# BLOCK for systems of up to 2 * BLOCK states, NARROW above.
 BLOCK = 8
 BYTE = (1 << BLOCK) - 1
+NARROW = 6
 
 
 def _check_names(names: tuple) -> None:
@@ -207,7 +211,8 @@ class Projection:
     event-table order.  Unobservable reach distributes over union, so the
     step of a set Z on every event is the union of ``packed[q]`` over q in
     Z, and no closure runs per set.  ``step(Z)`` is that union, one table
-    lookup per 8 states of Z; the tables are an index built from ``packed``.
+    lookup per block of 8 states of Z, or of 6 above 16 states; the tables
+    are an index built from ``packed``.
     """
 
     event_names: tuple
@@ -220,16 +225,23 @@ class Projection:
 def _step_kernel(packed: tuple) -> Callable[[int], int]:
     """The step over ``packed``, a ``Projection``'s packed rows.
 
-    A block's table maps each byte of the estimate to the union of the
-    packed rows of its states; it is built by doubling, one state per pass.
-    With two tables (9 to 16 states) the step has no loop: one lookup per
-    byte ORed.  An estimate holds no state beyond ``len(packed)``, so the
-    high byte needs no mask.
+    A block's table maps each subset of the block's states to the union of
+    their packed rows; it is built by doubling, one state per pass, so a
+    block of w states costs 2^w ORs.  Up to 16 states a block holds 8: with
+    two tables (9 to 16 states) the step has no loop, one lookup per byte
+    ORed, and an estimate holds no state beyond ``len(packed)``, so the
+    high byte needs no mask.  Above 16 states a block holds 6 and the step
+    loops over the tables, a quarter the size: a search there seldom steps
+    enough estimates to pay back the build of tables of 256.  A step then
+    makes ceil(n/6) lookups for n states against ceil(n/8): as many at 17
+    and 18 states, one more from 19 to 24.
     """
+    width = BLOCK if len(packed) <= 2 * BLOCK else NARROW
+    part = (1 << width) - 1
     tables = []
-    for base in range(0, len(packed), BLOCK):
+    for base in range(0, len(packed), width):
         table = [0]
-        for row in packed[base:base + BLOCK]:
+        for row in packed[base:base + width]:
             table += [v | row for v in table]
         tables.append(table)
 
@@ -244,8 +256,8 @@ def _step_kernel(packed: tuple) -> Callable[[int], int]:
     def step(mask: int) -> int:
         out = 0
         for table in tables:
-            out |= table[mask & BYTE]
-            mask >>= BLOCK
+            out |= table[mask & part]
+            mask >>= width
         return out
 
     return step

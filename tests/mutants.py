@@ -155,6 +155,21 @@ MUTANTS = (
         "            return low[mask & BYTE]\n",
         ("tests/test_automata.py::test_step_kernel_matches_rows",),
     ),
+    # the kernel's width above 16 states; moving its bound changes only the time
+    Mutant(
+        "loop-masks-wide-shifts-narrow",
+        AUTOMATA,
+        "            out |= table[mask & part]\n",
+        "            out |= table[mask & BYTE]\n",
+        ("tests/test_automata.py::test_step_kernel_matches_rows",),
+    ),
+    Mutant(
+        "loop-shifts-wide-masks-narrow",
+        AUTOMATA,
+        "            mask >>= width\n",
+        "            mask >>= BLOCK\n",
+        ("tests/test_automata.py::test_step_kernel_matches_rows",),
+    ),
     Mutant(
         "decided-witness-highest-secret",
         WEAK,

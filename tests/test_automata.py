@@ -337,12 +337,14 @@ def test_full_observer_agrees_with_observer():
                 assert y == mask_of(simulate_observation(des, states_of(x), [name]))
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 18, 19, 24, 25, 64, 65, 126, 130])
 def test_step_kernel_matches_rows(n):
     # each event's slice of the packed step is the union, over the states
     # of the mask, of the oracle's one-event simulation from each state, on
-    # random masks and on every observer estimate; n covers one block, whole
-    # blocks and a last, partial block of 8 states
+    # random masks and on every observer estimate; n covers one block and
+    # two blocks of 8 states, whole or partial, up to 16 states, and whole
+    # and partial blocks of 6 above, with 16 and 17 on either side of the
+    # change of width
     rng = random.Random(n)
     full = (1 << n) - 1
     systems = [random_weak_instance(seed, n=n, obs=3) for seed in range(3)]
