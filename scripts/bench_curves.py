@@ -1,100 +1,117 @@
-"""Measure the paper's cost curves against n, into ``BENCH_paper_curves.json``.
+"""Time the library in process, best of 3, into two records.
 
 Run from anywhere:
 
-    python3 scripts/bench_curves.py            # into this checkout's record
-    python3 scripts/bench_curves.py OUTPUT     # into another record file
+    python3 scripts/bench_curves.py        # into this checkout's records
+    python3 scripts/bench_curves.py DIR    # into the records in DIR
 
-The paper bounds the weak verifier's exploration by n·2^n and shows that
-it does not depend on k.  This records both against the system's size on
-two families from ``benchmark/workloads.py``, loaded read-only as the
-tests load it, at n = 10 ... 18:
+``BENCH_paper_curves.json``: the paper bounds the weak verifier's
+exploration by n·2^n and shows that it does not depend on k.  Per
+n = 10 ... 18 it records the state count, n·2^n and, at each k in 0, 1,
+1000 and inf, the time of ``verify_weak`` with its ``observer_states``
+and ``product_states_explored``, on two families: ``nth_letter``, the
+benchmark's ``nth_letter_des(n)`` (n + 1 states, 2^n estimates, no seed),
+and ``neutral_start``, the same system with state 0 neutral, answered at
+the observer.  At n = 18 (19 states) a step of the kernel makes one
+lookup more than with 8-state tables.
 
-- ``nth_letter``: ``nth_letter_des(n)``, n + 1 states, whose observer has
-  2^n estimates and whose state 0, universal and nonsecret, admits no
-  seed;
-- ``neutral_start``: the same system with state 0 neutral and states
-  1 ... n-1 nonsecret, so every estimate that holds the secret state n
-  seeds a product pair of its own.
+``BENCH_project_sweep.json``: per n = 250, 500, 1,000 and 2,000 it
+records the times of ``project`` and ``verify_weak(des, INFINITE)``, the
+verdict and the observer's size, on two families: ``random``, the tests'
+``random_weak_instance(1, n, density=1.2)``, and ``chain``, q -u-> q+1 on
+the unobservable u and q -a-> q on the observable a, from state 0, with
+the last state secret: state q's unobservable closure is {q, ..., n-1}.
 
-Per n it records the state count, n·2^n and, at each k in 0, 1, 1000 and
-inf, the best of 3 times of ``verify_weak`` with its ``observer_states``
-and ``product_states_explored``.  The systems have n + 1 states, so the
-curves cross the step kernel's change of table width above 16 states:
-at n = 16 and 17 a step makes as many lookups at either width, at n = 18
-one more.
-
-Like ``bench_sweep.py``, it imports the package from the ``src``
-directory of the checkout that holds this script, records what
-``bench_record.py`` records about it, and keeps one run per ``src``
-tree, so that a copy of this script in a checkout of another commit adds
-that commit's run to the same file for comparison.
+Every family but ``chain`` comes from ``tests/conftest.py``.  The script
+imports the package from the ``src`` directory of the checkout that
+holds it, records what ``bench_record.py`` records about it, and keeps
+one run per ``src`` tree, so that a copy of it in a checkout of another
+commit adds that commit's run to the same files.  One run per tree does
+not resolve a 10% difference on a shared 2-vCPU host, where a whole run
+can read 50-100% slow: a comparison takes the median over several
+alternating runs of each tree (eight pairs for the kernel's table width).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import importlib.util
 import sys
 import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE.parent / "tests"), str(HERE)]
 
 from bench_record import ROOT, add_run, provenance  # noqa: E402
-from desopacity import INFINITE, Des, verify_weak  # noqa: E402
+from conftest import benchmark_nth_letter, neutral_start_nth_letter, random_weak_instance  # noqa: E402
+from desopacity import INFINITE, Des, make_events, project, verify_weak  # noqa: E402
 
-SIZES = range(10, 19)
 KS = {"0": 0, "1": 1, "1000": 1000, "inf": INFINITE}
 REPEATS = 3
 
 
-def _workloads():
-    """The benchmark's ``workloads`` module, loaded read-only."""
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", ROOT / "benchmark" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+def chain(n: int) -> Des:
+    return Des(
+        state_count=n,
+        events=make_events(["a"], ["u"]),
+        transitions=frozenset({(q, 1, q + 1) for q in range(n - 1)} | {(q, 0, q) for q in range(n)}),
+        initial=frozenset({0}),
+        secret=frozenset({n - 1}),
+        nonsecret=frozenset(range(n - 1)),
+    )
 
 
-def _at_k(des: Des, k) -> dict:
+def best_of(call) -> tuple:
+    """The best of ``REPEATS`` times of ``call()`` in ms, and its last result."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        verdict = verify_weak(des, k)
+        result = call()
         best = min(best, time.perf_counter() - start)
-    return {
-        "verify_weak_ms": round(best * 1e3, 3),
-        "opaque": verdict.opaque,
-        "observer_states": verdict.stats.observer_states,
-        "product_states_explored": verdict.stats.product_states_explored,
-    }
+    return round(best * 1e3, 3), result
 
 
-def _row(des: Des, n: int) -> dict:
+def curve_row(des: Des, n: int) -> dict:
+    row = {"n": n, "states": des.state_count, "n_2_to_n": n * 2 ** n, "k": {}}
+    for name, k in KS.items():
+        ms, verdict = best_of(lambda: verify_weak(des, k))
+        row["k"][name] = {
+            "verify_weak_ms": ms,
+            "opaque": verdict.opaque,
+            "observer_states": verdict.stats.observer_states,
+            "product_states_explored": verdict.stats.product_states_explored,
+        }
+    return row
+
+
+def sweep_row(des: Des, n: int) -> dict:
+    project_ms, _ = best_of(lambda: project(des))
+    verify_weak_ms, verdict = best_of(lambda: verify_weak(des, INFINITE))
     return {
         "n": n,
-        "states": des.state_count,
-        "n_2_to_n": n * 2 ** n,
-        "k": {name: _at_k(des, k) for name, k in KS.items()},
+        "transitions": len(des.transitions),
+        "project_ms": project_ms,
+        "verify_weak_ms": verify_weak_ms,
+        "opaque": verdict.opaque,
+        "observer_states": verdict.stats.observer_states,
     }
 
 
-def run() -> dict:
-    nth_letter_des = _workloads().nth_letter_des
-    families = {
-        "nth_letter": [_row(nth_letter_des(n), n) for n in SIZES],
-        "neutral_start": [
-            _row(dataclasses.replace(nth_letter_des(n), nonsecret=frozenset(range(1, n))), n) for n in SIZES
-        ],
-    }
-    return {**provenance(), "families": families}
+RECORDS = {
+    "paper_curves": (range(10, 19), curve_row, {
+        "nth_letter": benchmark_nth_letter, "neutral_start": neutral_start_nth_letter,
+    }),
+    "project_sweep": ((250, 500, 1000, 2000), sweep_row, {
+        "random": lambda n: random_weak_instance(1, n, density=1.2), "chain": chain,
+    }),
+}
 
 
 def main(argv) -> int:
-    output = Path(argv[0]) if argv else ROOT / "BENCH_paper_curves.json"
-    add_run(output, {"command": "scripts/bench_curves.py", "sizes": list(SIZES), "best_of": REPEATS}, run())
+    directory, measured = Path(argv[0]) if argv else ROOT, provenance()
+    for record, (sizes, row, builders) in RECORDS.items():
+        families = {family: [row(build(n), n) for n in sizes] for family, build in builders.items()}
+        header = {"command": "scripts/bench_curves.py", "sizes": list(sizes), "best_of": REPEATS}
+        add_run(directory / f"BENCH_{record}.json", header, {**measured, "families": families})
     return 0
 
 

@@ -1,0 +1,55 @@
+"""The in-process records keep one schema: ``scripts/bench_curves.py``'s rows
+match the committed runs key for key, and ``add_run`` replaces only the
+run of the same ``src`` tree."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from conftest import benchmark_nth_letter
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("bench_curves", ROOT / "scripts" / "bench_curves.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def _committed(record):
+    return json.loads((ROOT / f"BENCH_{record}.json").read_text(encoding="utf-8"))
+
+
+def _shape(value):
+    """The keys of ``value`` in order, nested ones included."""
+    if isinstance(value, dict):
+        return [(key, _shape(item)) for key, item in value.items()]
+    return None
+
+
+def test_rows_match_the_latest_committed_run():
+    script = _script()
+    rows = {
+        "paper_curves": script.curve_row(benchmark_nth_letter(3), 3),
+        "project_sweep": script.sweep_row(script.chain(5), 5),
+    }
+    for record, row in rows.items():
+        families = _committed(record)["runs"][-1]["families"]
+        assert _shape(row) == _shape(next(iter(families.values()))[0]), record
+
+
+def test_add_run_replaces_only_the_run_of_the_same_src_tree(tmp_path):
+    script = _script()
+    header = {"command": "scripts/bench_curves.py", "sizes": [1], "best_of": 3}
+
+    def run(src, value):
+        return {"trees": {"src": src, "benchmark": "b"}, "commit": "c", "families": {"f": [value]}}
+
+    output = tmp_path / "BENCH_record.json"
+    for new in (run("one", 1), run("two", 2), run("one", 3)):
+        script.add_run(output, header, new)
+    written = json.loads(output.read_text(encoding="utf-8"))
+    assert written["runs"] == [run("two", 2), run("one", 3)]
+    assert list(written) == list(_committed("project_sweep")) == list(_committed("paper_curves"))
