@@ -180,23 +180,14 @@ def states_of(mask: int) -> tuple:
 
 def union_rows(row, mask: int) -> int:
     """Union of ``row[q]`` over the states q in ``mask``, one state at a time:
-    a closure's step, and ``_condense``'s union over a component's mask."""
+    ``_condense``'s union over a component's mask, and ``project``'s initial
+    reach."""
     out = 0
     while mask:
         low = mask & -mask
         out |= row[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-def _closure(succ: list, mask: int) -> int:
-    """States reachable from ``mask`` along the per-state successor masks
-    ``succ``, one ``union_rows`` per level: ``normalize``'s reachability."""
-    frontier = mask
-    while frontier:
-        frontier = union_rows(succ, frontier) & ~mask
-        mask |= frontier
-    return mask
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Verification of strong k-step opacity by reduction to the weak verifier.
 
 Strong opacity is defined for deterministic systems without neutral states.
-Every system is first normalized: unobservable transitions from secret to
-nonsecret states are redirected into a secret copy of the state space, and
-unreachable states are dropped.  The normalized system is then transformed:
-a nonsecret copy of its nonsecret part is attached through a fresh
-unobservable event, all original states become secret, and weak k-step
-opacity of the result coincides with strong k-step opacity of the input.
+Every system is first normalized by one search from its initial state:
+unobservable transitions from secret to nonsecret states are redirected
+into a secret copy of the state space, and only the states the search
+reaches are kept.  The normalized system is then transformed: a nonsecret
+copy of its nonsecret part is attached through a fresh unobservable event,
+all original states become secret, and weak k-step opacity of the result
+coincides with strong k-step opacity of the input.
 
 ``verify_strong`` runs ``normalize``, then ``strong_to_weak``, then the weak
 verifier.  ``reduce_to_weak`` and its one-field ``ReductionResult`` are the
@@ -19,15 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .automata import (
-    Des,
-    Event,
-    EventTable,
-    _closure,
-    is_deterministic,
-    mask_of,
-    states_of,
-)
+from .automata import Des, Event, EventTable, is_deterministic
 from .weak import KBound, Verdict, verify_weak
 
 
@@ -74,36 +67,37 @@ def _prime_names(des: Des) -> tuple:
 def normalize(des: Des) -> Des:
     """Redirect unobservable secret-to-nonsecret transitions into a secret copy.
 
-    The copy of state q is q + n until step (4) renumbers.  Steps: (1)
-    redirect the offending transitions to the copies, (2) copy every
-    unobservable transition between copies, (3) let copies rejoin the
-    originals on observable events, (4) keep only the states reachable from
-    the initial state, the originals first and then the surviving copies,
-    each in index order.  The result is built once, from the reachable part.
+    One search from the initial state runs over the states q and their
+    copies q + n.  An unobservable move from a copy, or from a secret state
+    into a nonsecret one, enters the target's copy; every other move enters
+    the original target.  Only the states the search reaches are kept, the
+    originals first and then the copies, each in index order.
     """
     des = _strong_input(des)
     n = des.state_count
     unobs = set(des.events.unobservable_indices())
-    delta = set()
+    out = [[] for _ in range(n)]
     for (p, e, q) in des.transitions:
-        if e in unobs:
-            redirect = p in des.secret and q in des.nonsecret
-            delta.add((p, e, q + n if redirect else q))  # step (1)
-            delta.add((p + n, e, q + n))  # step (2)
-        else:
-            delta.add((p, e, q))
-            delta.add((p + n, e, q))  # step (3)
-    succ = [0] * (2 * n)
-    for (p, _e, q) in delta:
-        succ[p] |= 1 << q
-    kept = states_of(_closure(succ, mask_of(des.initial)))  # step (4)
+        out[p].append((e, q))
+    seen = set(des.initial)
+    queue = list(seen)
+    moves = []
+    for p in queue:
+        for (e, q) in out[p % n]:
+            if e in unobs and (p >= n or p in des.secret and q in des.nonsecret):
+                q += n
+            moves.append((p, e, q))
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    kept = sorted(seen)
     remap = {old: new for new, old in enumerate(kept)}
     names, primes = _prime_names(des)
     names += primes
     return Des(
         state_count=len(kept),
         events=des.events,
-        transitions=frozenset((remap[p], e, remap[q]) for (p, e, q) in delta if p in remap),
+        transitions=frozenset((remap[p], e, remap[q]) for (p, e, q) in moves),
         initial=frozenset(remap[q] for q in des.initial),
         secret=frozenset(remap[q] for q in kept if q >= n or q in des.secret),
         nonsecret=frozenset(remap[q] for q in kept if q in des.nonsecret),

@@ -289,7 +289,7 @@ def exhaustive_strong_bounds(des, k):
 
 
 def normalize_reference(des):
-    """``normalize`` built literally from its documented steps: double the
+    """``normalize`` built literally as the doubled construction: double the
     state space (the copy of q is q + n, secret, named q with primes until
     the name is free), (1) redirect the unobservable secret-to-nonsecret
     transitions to the copies, (2) copy the unobservable transitions between

@@ -42,6 +42,7 @@ STRONG = "src/desopacity/strong.py"
 DESFILE = "src/desopacity/desfile.py"
 CLI = "src/desopacity/cli.py"
 DOT = "src/desopacity/dot.py"
+ORACLE = "src/desopacity/oracle.py"
 ADMIT_TESTS = (
     "tests/test_automata.py::test_admit_applies_only_the_universal_rules",
     "tests/test_automata.py::test_admit_matches_its_contract",
@@ -56,6 +57,10 @@ TRANSFORM_TESTS = (
 )
 PARSE_TESTS = ("tests/test_cli.py::test_parse_names_the_first_malformed_transition",)
 DECIDED_TESTS = ("tests/test_weak.py::test_decided_verdict_matches_the_full_search",)
+NONDETERMINISM_RAISE = (
+    "    if not is_deterministic(des):\n"
+    '        raise ValueError("strong opacity is defined for deterministic systems only")\n'
+)
 CONDENSATION_TESTS = (
     "tests/test_automata.py::test_project_condenses_unobservable_components",
     "tests/test_automata.py::test_project_matches_oracle_rows_on_random_systems",
@@ -241,20 +246,65 @@ MUTANTS = (
     ),
     # normalization
     Mutant(
-        "normalize-step-1-not-redirected",
+        "normalize-not-redirected",
         STRONG,
-        "            delta.add((p, e, q + n if redirect else q))  # step (1)\n",
-        "            delta.add((p, e, q))  # step (1)\n",
+        "(p >= n or p in des.secret and q in des.nonsecret)",
+        "p >= n",
         NORMALIZE_TESTS,
     ),
-    Mutant("normalize-step-2-dropped", STRONG, "            delta.add((p + n, e, q + n))  # step (2)\n", "", NORMALIZE_TESTS),
-    Mutant("normalize-step-3-dropped", STRONG, "            delta.add((p + n, e, q))  # step (3)\n", "", NORMALIZE_TESTS),
+    Mutant("normalize-redirect-ignores-target", STRONG, " and q in des.nonsecret)", ")", NORMALIZE_TESTS),
     Mutant(
-        "normalize-step-3-second-target",
+        "normalize-copy-unobservable-returns",
         STRONG,
-        "            delta.add((p + n, e, q))  # step (3)\n",
-        "            delta.add((p + n, e, q))  # step (3)\n            delta.add((p + n, e, q + n))\n",
+        "(p >= n or p in des.secret and",
+        "(p in des.secret and",
         NORMALIZE_TESTS,
+    ),
+    Mutant(
+        "normalize-copy-observable-dropped",
+        STRONG,
+        "            moves.append((p, e, q))\n",
+        "            if p >= n and e not in unobs:\n"
+        "                continue\n"
+        "            moves.append((p, e, q))\n",
+        NORMALIZE_TESTS,
+    ),
+    Mutant(
+        "normalize-copy-observable-second-target",
+        STRONG,
+        "            moves.append((p, e, q))\n",
+        "            moves.append((p, e, q))\n"
+        "            if p >= n and e not in unobs:\n"
+        "                moves.append((p, e, q + n))\n"
+        "                if q + n not in seen:\n"
+        "                    seen.add(q + n)\n"
+        "                    queue.append(q + n)\n",
+        NORMALIZE_TESTS,
+    ),
+    # the strong input rules
+    Mutant(
+        "strong-input-accepts-nondeterministic",
+        STRONG,
+        NONDETERMINISM_RAISE,
+        "",
+        (
+            "tests/test_strong.py::test_strong_mode_rejects_nondeterminism_without_neutral_states",
+            "tests/test_cli.py::test_cli_error_paths",
+        ),
+    ),
+    Mutant(
+        "oracle-strong-accepts-nondeterministic",
+        ORACLE,
+        NONDETERMINISM_RAISE,
+        "",
+        ("tests/test_strong.py::test_strong_mode_rejects_nondeterminism_without_neutral_states",),
+    ),
+    Mutant(
+        "prime-names-forget-used",
+        STRONG,
+        "        used.add(cand)\n",
+        "",
+        ("tests/test_strong.py::test_strong_to_weak_primes_past_every_name_in_use",),
     ),
     # the strong-to-weak transformation
     Mutant(

@@ -633,6 +633,9 @@ def test_cli_error_paths(tmp_path, capsys):
     deep.write_text("[" * 200000)
     plain = tmp_path / "plain"
     plain.write_text("")
+    # fig2 without "nonsecret" has no neutral state: only the determinism rule rejects it
+    nondeterministic = tmp_path / "nondeterministic.des"
+    nondeterministic.write_text(serialize_des(dataclasses.replace(load_fixture("fig2"), nonsecret=frozenset())))
     fig1 = fixture_path("fig1")
     cases = [
         ["verify-weak", "--input", str(tmp_path / "missing.des"), "--k", "1"],
@@ -640,6 +643,7 @@ def test_cli_error_paths(tmp_path, capsys):
         ["verify-weak", "--input", str(deep), "--k", "1"],
         ["verify-weak", "--input", str(latin1), "--k", "1"],
         ["verify-strong", "--input", str(latin1), "--k", "1"],
+        ["verify-strong", "--input", str(nondeterministic), "--k", "1"],
         ["observer", "--input", str(latin1), "--dot", str(tmp_path / "o.dot")],
         ["oracle", "weak", "--input", str(latin1), "--k", "1", "--mu-max", "2", "--nu-max", "1"],
         ["oracle", "weak", "--input", fig1, "--k", "1", "--mu-max", "-1", "--nu-max", "1"],

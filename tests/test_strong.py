@@ -20,7 +20,7 @@ from desopacity import (
     verify_strong,
     verify_weak,
 )
-from desopacity.oracle import simulate_observation, strong_violation_search
+from desopacity.oracle import OracleBounds, simulate_observation, strong_violation_search
 
 from conftest import (
     exhaustive_strong_bounds,
@@ -96,7 +96,7 @@ def test_normalize_identity_when_reachable():
 
 def test_normalize_drops_unreachable_original():
     # "iso" only leads into the system; "s" -u-> "t" is redirected to t',
-    # and t' -u-> w' survives through step (2)
+    # and t' -u-> w' stays in the copy, an unobservable move from a copy
     des = Des(
         state_count=5,
         events=make_events(["o"], ["u"]),
@@ -138,6 +138,21 @@ def test_normalize_rejects_bad_inputs():
     neutral = dataclasses.replace(load_fixture("fig5"), nonsecret=frozenset({0, 2}))
     with pytest.raises(ValueError):
         normalize(neutral)
+
+
+def test_strong_mode_rejects_nondeterminism_without_neutral_states():
+    # fig2 also has neutral states; with an empty nonsecret, read as the
+    # complement of secret, only the determinism rule rejects it
+    des = dataclasses.replace(load_fixture("fig2"), nonsecret=frozenset())
+    checks = (
+        normalize,
+        strong_to_weak,
+        lambda des: verify_strong(des, 1),
+        lambda des: strong_violation_search(des, 1, OracleBounds(mu_max=4, nu_max=0)),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match="strong opacity is defined for deterministic systems only"):
+            check(des)
 
 
 def test_normalize_language_preserved():
@@ -212,6 +227,21 @@ def test_strong_to_weak_fresh_event_avoids_collision():
     assert _added_event(clash, strong_to_weak(clash)) == "u1"
     clash = dataclasses.replace(des, events=make_events(["a", "b", "c"], ["u", "u1"]))
     assert _added_event(clash, strong_to_weak(clash)) == "u2"
+
+
+def test_strong_to_weak_primes_past_every_name_in_use():
+    # the copy of "a" cannot be "a'", a state of the input, and the copy of
+    # "a'" cannot be "a''", the name just given to the copy of "a"
+    des = Des(
+        state_count=2,
+        events=make_events(["o"]),
+        transitions=frozenset({(0, 0, 1), (1, 0, 0)}),
+        initial=frozenset({0}),
+        secret=frozenset(),
+        nonsecret=frozenset({0, 1}),
+        state_names=("a", "a'"),
+    )
+    assert strong_to_weak(des).state_names == ("a", "a'", "a''", "a'''")
 
 
 def test_strong_to_weak_single_fresh_occurrence():
