@@ -324,14 +324,13 @@ def project(des: Des) -> Projection:
     the moves over its closure: O(n + m_u) unions for m_u unobservable
     moves."""
     n = des.state_count
-    observable = [e.observable for e in des.events.entries]
+    offsets = {e: j * n for j, e in enumerate(des.events.observable_indices())}
     unobservable = [0] * n
     for (p, e, q) in des.transitions:
-        if not observable[e]:
+        if e not in offsets:
             unobservable[p] |= 1 << q
     comps = _components(unobservable)
     closures = _condense(comps, [1 << q for q in range(n)])
-    offsets = {e: j * n for j, e in enumerate(des.events.observable_indices())}
     moves = [0] * n
     for (p, e, q) in des.transitions:
         offset = offsets.get(e)

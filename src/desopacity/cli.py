@@ -96,13 +96,8 @@ def _cmd_verify_strong(args, out) -> int:
     return _emit_verdict(verdict, reduction.des_prime, args, out)
 
 
-def _cmd_normalize(args, out) -> int:
-    Path(args.output).write_text(serialize_des(normalize(_load(args.input))), encoding="utf-8")
-    return 0
-
-
-def _cmd_transform(args, out) -> int:
-    Path(args.output).write_text(serialize_des(strong_to_weak(_load(args.input))), encoding="utf-8")
+def _cmd_rewrite(args, out) -> int:
+    Path(args.output).write_text(serialize_des(args.rewrite(_load(args.input))), encoding="utf-8")
     return 0
 
 
@@ -171,15 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_verify("verify-weak", _cmd_verify_weak, with_dot=True)
     add_verify("verify-strong", _cmd_verify_strong, with_dot=False)
 
-    p = sub.add_parser("normalize")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("transform")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_transform)
+    for name, rewrite in (("normalize", normalize), ("transform", strong_to_weak)):
+        p = sub.add_parser(name)
+        p.add_argument("--input", required=True)
+        p.add_argument("--output", required=True)
+        p.set_defaults(func=_cmd_rewrite, rewrite=rewrite)
 
     p = sub.add_parser("observer")
     p.add_argument("--input", required=True)

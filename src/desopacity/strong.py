@@ -11,9 +11,9 @@ coincides with strong k-step opacity of the input.
 
 ``verify_strong`` runs ``normalize``, then ``strong_to_weak``, then the weak
 verifier.  ``reduce_to_weak`` and its one-field ``ReductionResult`` are the
-seam that the CLI's ``verify-strong`` and the benchmark's checks and tracing
-read (as ``reduce_to_weak(des)[1].des_prime``); they go once the CLI calls
-``verify_strong`` (item 3b in ROADMAP.md).
+seam that the CLI's ``verify-strong``, the benchmark's checks and tracing,
+and the one test that pins it read (as ``reduce_to_weak(des)[1].des_prime``);
+they go once the CLI calls ``verify_strong`` (item 3b in ROADMAP.md).
 """
 
 from __future__ import annotations

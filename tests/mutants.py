@@ -4,10 +4,12 @@ A mutant is an exact replacement of one text in one file under ``src/``,
 whose old text occurs there exactly once.  For each mutant the runner
 copies ``src/`` to a temporary directory, applies the replacement there and
 runs the mutant's test selection against the copy.  The mutant is killed
-when that run reports a failing test.  The runner exits 1 when a mutant
-survives, when its old text no longer matches, or when the selections fail
-on the unmutated copy, so a refactor updates this list instead of dropping
-a mutant without notice.
+when that run reports a failing test, or when it takes twice as long as
+the runner's unmutated run of every selection, as a mutant that makes a
+loop endless does.  The runner exits 1 when a mutant survives, when its
+old text no longer matches, or when the selections fail on the unmutated
+copy, so a refactor updates this list instead of dropping a mutant
+without notice.
 
 Run from anywhere, with pytest installed::
 
@@ -22,6 +24,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,6 +58,8 @@ TRANSFORM_TESTS = (
     "tests/test_strong.py::test_strong_to_weak_fig8",
     "tests/test_strong.py::test_verify_strong_matches_two_way_check_on_fixtures_and_pool",
 )
+PRIME_TESTS = ("tests/test_strong.py::test_strong_to_weak_primes_past_every_name_in_use",)
+FRESH_EVENT_TESTS = ("tests/test_strong.py::test_strong_to_weak_fresh_event_avoids_collision",)
 PARSE_TESTS = ("tests/test_cli.py::test_parse_names_the_first_malformed_transition",)
 DECIDED_TESTS = ("tests/test_weak.py::test_decided_verdict_matches_the_full_search",)
 NONDETERMINISM_RAISE = (
@@ -201,12 +206,27 @@ MUTANTS = (
         "        if command is None:\n",
         ("tests/test_cli.py::test_run_reads_arguments_as_the_top_level_parser_does",),
     ),
+    # the CLI's commands
+    Mutant(
+        "bench-reports-slowest-repeat",
+        CLI,
+        "            if best is None or elapsed < best:\n",
+        "            if best is None or elapsed >= best:\n",
+        ("tests/test_cli.py::test_cli_bench_reports_the_fastest_repeat",),
+    ),
+    Mutant(
+        "rewrite-commands-swapped",
+        CLI,
+        '(("normalize", normalize), ("transform", strong_to_weak))',
+        '(("normalize", strong_to_weak), ("transform", normalize))',
+        ("tests/test_cli.py::test_strong_library_matches_cli_without_nonsecret",),
+    ),
     # the projection and the DOT export
     Mutant(
         "unobservable-successors-of-observable-events",
         AUTOMATA,
-        "        if not observable[e]:\n",
-        "        if observable[e]:\n",
+        "        if e not in offsets:\n",
+        "        if e in offsets:\n",
         ("tests/test_automata.py::test_project_definitional_identity",),
     ),
     Mutant(
@@ -304,7 +324,19 @@ MUTANTS = (
         STRONG,
         "        used.add(cand)\n",
         "",
-        ("tests/test_strong.py::test_strong_to_weak_primes_past_every_name_in_use",),
+        PRIME_TESTS,
+    ),
+    # the name loops: each of these never ends, so its run is killed by the timeout
+    Mutant("prime-suffix-not-grown", STRONG, "            cand += \"'\"\n", "            pass\n", PRIME_TESTS),
+    Mutant("prime-loop-test-flipped", STRONG, "        while cand in used:\n", "        while cand not in used:\n", PRIME_TESTS),
+    Mutant("fresh-event-counter-not-advanced", STRONG, "        i += 1\n", "        pass\n", FRESH_EVENT_TESTS),
+    Mutant("fresh-event-counter-zeroed", STRONG, "        i += 1\n", "        i += 0\n", FRESH_EVENT_TESTS),
+    Mutant(
+        "fresh-event-loop-test-flipped",
+        STRONG,
+        '    while f"u{i}" in taken:\n',
+        '    while f"u{i}" not in taken:\n',
+        FRESH_EVENT_TESTS,
     ),
     # the strong-to-weak transformation
     Mutant(
@@ -357,9 +389,10 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def run_tests(mutant: Mutant | None, tests: tuple) -> int:
+def run_tests(mutant: Mutant | None, tests: tuple, timeout: float | None = None) -> int | None:
     """pytest's exit code for ``tests`` against a copy of ``src/`` with
-    ``mutant`` applied, or unmutated for None."""
+    ``mutant`` applied, or unmutated for None; None when the run outlasts
+    ``timeout`` seconds."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
@@ -372,7 +405,10 @@ def run_tests(mutant: Mutant | None, tests: tuple) -> int:
         imported = subprocess.run(probe, cwd=ROOT, env=env, capture_output=True, text=True).stdout.strip()
         if not Path(imported).is_relative_to(copy):
             raise RuntimeError(f"the tests import {imported!r}, not the copy under {tmp}")
-        return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode
+        try:
+            return subprocess.run(command, cwd=ROOT, env=env, capture_output=True, timeout=timeout).returncode
+        except subprocess.TimeoutExpired:
+            return None
 
 
 def main(names: list) -> int:
@@ -383,22 +419,26 @@ def main(names: list) -> int:
         return 2
     mutants = [known[name] for name in names] or list(MUTANTS)
     tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    start = time.perf_counter()
     code = run_tests(None, tests)
     if code != 0:
         print(f"the selections fail on the unmutated source (pytest exit {code})")
         return 1
+    # each mutant runs a part of what this run ran; the factor covers the
+    # host's spread when that part is all of it
+    timeout = 2 * (time.perf_counter() - start)
     failed = 0
     for mutant in mutants:
         try:
-            code = run_tests(mutant, mutant.tests)
+            code = run_tests(mutant, mutant.tests, timeout)
         except ValueError as exc:
-            print(f"STALE     {exc}")
+            print(f"{'STALE':<16} {exc}")
             failed += 1
             continue
         # pytest exits 1 when a test failed; another code is an error of the run
-        outcome = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
-        failed += code != 1
-        print(f"{outcome:<9} {mutant.name}")
+        outcome = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(code, f"ERROR (pytest exit {code})")
+        failed += code not in (1, None)
+        print(f"{outcome:<16} {mutant.name}")
     print(f"{len(mutants) - failed} of {len(mutants)} mutants killed")
     return 1 if failed else 0
 

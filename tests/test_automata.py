@@ -12,10 +12,11 @@ from desopacity import (
     load_fixture,
     make_events,
     mask_of,
+    normalize,
     observer,
     project,
-    reduce_to_weak,
     states_of,
+    strong_to_weak,
     universal,
 )
 from desopacity.automata import observation, union_rows
@@ -287,7 +288,7 @@ def test_observer_matches_reference_on_random_weak_systems(n):
 @pytest.mark.parametrize("n", [4, 8, 12, 16])
 def test_observer_matches_reference_on_transformed_systems(n):
     for seed in range(10):
-        _check_observer_against_reference(reduce_to_weak(random_det_instance(seed, n=n))[1].des_prime)
+        _check_observer_against_reference(strong_to_weak(normalize(random_det_instance(seed, n=n))))
 
 
 def test_observer_state_bound():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from desopacity import (
     observer,
     parse_des,
     project,
-    reduce_to_weak,
     serialize_des,
     strong,
     strong_to_weak,
@@ -704,6 +704,14 @@ def test_cli_bench_rejects_zero_repeat(capsys):
     assert invoke_captured(argv, capsys) == (2, "", "error: --repeat must be at least 1\n")
 
 
+def test_cli_bench_reports_the_fastest_repeat(monkeypatch):
+    # three repeats that take 5, 1 and 3 s by a scripted clock
+    clock = iter([0.0, 5.0, 10.0, 11.0, 20.0, 23.0])
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    code, out = invoke(["bench", "--input", fixture_path("fig1"), "--k-list", "1", "--repeat", "3"])
+    assert (code, out.split()[:2]) == (0, ["k=1", "time=1.000000s"])
+
+
 def _top_level_run(argv, out):
     """``run`` with every argument read by the top-level parser, which hands
     a command's arguments to that command's parser."""
@@ -732,6 +740,8 @@ PARSE_CASES = [
     ["oracle", "weak", "--input", "{fig1}", "--k", "1", "--mu-max", "3", "--nu-max", "2"],
     ["oracle", "--input", "{fig1}", "--k", "1", "--mu-max", "3", "--nu-max", "2", "strong"],
     ["random", "--states", "x"], ["normalize", "--input", "{fig1}"], ["verify-weak", "verify-weak"],
+    ["transform", "--input", "{fig1}"], ["transform", "-h"],
+    ["normalize", "--input", "{fig1}", "--output", "o", "--bogus"],
 ]
 
 
@@ -782,7 +792,7 @@ def _strong_output(des, verdict):
     lines = ["OPAQUE" if verdict.opaque else "NOT_OPAQUE"]
     if not verdict.opaque:
         w = verdict.witness
-        prime = reduce_to_weak(des)[1].des_prime  # the CLI names witness states in G'
+        prime = strong_to_weak(normalize(des))  # the CLI names witness states in G'
         lines += [f"mu={''.join(w.mu)}", f"secret={prime.state_name(w.secret_state)}", f"nu={''.join(w.nu)}"]
     return int(not verdict.opaque), "\n".join(lines) + "\n"
 

@@ -1,7 +1,7 @@
 """The mutation check's list stays in step with the source and the tests.
 
-Running the mutants takes a minute (``python tests/mutants.py``); this only
-checks that each one still applies and names tests that exist."""
+Running the mutants takes two to three minutes (``python tests/mutants.py``);
+this only checks that each one still applies and names tests that exist."""
 
 from mutants import MUTANTS, ROOT
 

@@ -24,10 +24,11 @@ from desopacity import (
     Subsumption,
     compute_seeds,
     mask_of,
+    normalize,
     observer,
     project,
-    reduce_to_weak,
     states_of,
+    strong_to_weak,
     universal,
     verify_strong,
     verify_weak,
@@ -187,4 +188,4 @@ def test_stopped_observer_is_prefix_with_same_seeds_weak(seed, n):
 @given(SEEDS, st.integers(8, 20))
 def test_stopped_observer_is_prefix_with_same_seeds_reduced(seed, n):
     # G' of a deterministic system, as verify_strong builds it
-    _check_stopped_observer(reduce_to_weak(random_det_instance(seed, n=n))[1].des_prime)
+    _check_stopped_observer(strong_to_weak(normalize(random_det_instance(seed, n=n))))

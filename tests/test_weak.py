@@ -12,10 +12,11 @@ from desopacity import (
     load_fixture,
     make_events,
     mask_of,
+    normalize,
     observer,
     project,
-    reduce_to_weak,
     states_of,
+    strong_to_weak,
     universal,
     verify_weak,
 )
@@ -204,9 +205,9 @@ def product_searches():
     search), each search over its own Subsumption."""
     systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
     systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
-    systems += [reduce_to_weak(des)[1].des_prime for des in pinned_pool("strong_reduction")]
+    systems += [strong_to_weak(normalize(des)) for des in pinned_pool("strong_reduction")]
     systems += [random_weak_instance(seed, n=4 + seed % 13, density=1.0) for seed in range(80)]  # n in 4..16
-    systems += [reduce_to_weak(random_det_instance(seed, n=6 + seed % 15))[1].des_prime for seed in range(40)]
+    systems += [strong_to_weak(normalize(random_det_instance(seed, n=6 + seed % 15))) for seed in range(40)]
     cases = []
     for des in systems:
         pg = project(des)
@@ -394,8 +395,8 @@ def _unpruned_search(des, k):
 def test_verify_weak_pruning_matches_unpruned_search():
     systems = [random_weak_instance(seed, n=4 + seed % 9) for seed in range(45)]  # n in 4..12
     systems += [random_weak_instance(seed, n=13 + seed % 4) for seed in range(45, 65)]  # n in 13..16
-    systems += [reduce_to_weak(random_det_instance(seed, n=6 + seed % 10))[1].des_prime for seed in range(30)]
-    systems += [reduce_to_weak(random_det_instance(seed, n=16 + seed % 5))[1].des_prime for seed in range(30, 50)]
+    systems += [strong_to_weak(normalize(random_det_instance(seed, n=6 + seed % 10))) for seed in range(30)]
+    systems += [strong_to_weak(normalize(random_det_instance(seed, n=16 + seed % 5))) for seed in range(30, 50)]
     pruned_fewer = violations = 0
     for des in systems:
         for k in (0, 1, 2, 1000, INFINITE):
@@ -416,7 +417,7 @@ def test_universal_pruning_keeps_verdicts_on_fixtures_and_pools():
     # states keep its product to a few hundred states over these k
     systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
     systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
-    reduced = [reduce_to_weak(des)[1].des_prime for des in pinned_pool("strong_reduction")]
+    reduced = [strong_to_weak(normalize(des)) for des in pinned_pool("strong_reduction")]
     explored = []
     for des in systems + reduced:
         # the two-way observer's least violation depth decides every k
@@ -487,9 +488,9 @@ def test_decided_verdict_matches_the_full_search():
     # decided at the observer reports that search of one root
     systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
     systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
-    systems += [reduce_to_weak(des)[1].des_prime for des in pinned_pool("strong_reduction")]
+    systems += [strong_to_weak(normalize(des)) for des in pinned_pool("strong_reduction")]
     systems += [random_weak_instance(seed, n=5 + seed % 12) for seed in range(120)]  # n in 5..16
-    systems += [reduce_to_weak(random_det_instance(seed, n=8 + seed % 13))[1].des_prime for seed in range(60)]
+    systems += [strong_to_weak(normalize(random_det_instance(seed, n=8 + seed % 13))) for seed in range(60)]
     decided = through_product = product_violations = 0
     for des in systems:
         full = observer(project(des))
