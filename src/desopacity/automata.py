@@ -16,12 +16,14 @@ unobservable graph, O(n + m_u) unions for m_u unobservable moves.  The step
 kernel tables, for each block of states, the union of their packed rows
 over all subsets of the block, so stepping an estimate ORs one lookup per
 block and reads each event's successor off with a shift and a mask.  Up to
-16 states a block holds 8 states, and with 9 to 16 states, two tables, the
-step is two lookups ORed, with no loop.  Above 16 states a block holds 6,
-a table of 64 entries in place of 256: cheaper to build, for searches that
-step few estimates.  The observer, the weak verifier's product and the DOT
-export step through this kernel.  The observer runs its own breadth-first
-loop and records only each estimate's parent estimate, from which
+16 states a block holds 8 states, and every such system has two tables,
+the high one ``[0]`` at 8 states or fewer: the step is two lookups ORed,
+with no loop.  Above 16 states a block holds 6, a table of 64 entries in
+place of 256: cheaper to build, for searches that step few estimates.  The
+observer, the weak verifier's product and the DOT export step through this
+kernel; up to 16 states the observer reads the two tables inline, with no
+call per estimate.  The observer runs its own breadth-first loop and
+records only each estimate's parent estimate, from which
 ``observation`` reads an observation back; it stops at the first estimate
 that meets a ``secret`` mask and misses a ``nonsecret`` mask, tested
 inline.  The weak verifier's product runs its own loop in ``weak.py``.
@@ -202,8 +204,10 @@ class Projection:
     event-table order.  Unobservable reach distributes over union, so the
     step of a set Z on every event is the union of ``packed[q]`` over q in
     Z, and no closure runs per set.  ``step(Z)`` is that union, one table
-    lookup per block of 8 states of Z, or of 6 above 16 states; the tables
-    are an index built from ``packed``.
+    lookup per block of 8 states of Z, or of 6 above 16 states; ``tables``
+    are the index built from ``packed`` that it reads, exactly two of them
+    up to 16 states, where the observer reads them without calling
+    ``step``.
     """
 
     event_names: tuple
@@ -211,21 +215,26 @@ class Projection:
     initial: int
     state_count: int
     step: Callable[[int], int] = field(compare=False, repr=False)
+    tables: tuple = field(compare=False, repr=False)
 
 
-def _step_kernel(packed: tuple) -> Callable[[int], int]:
-    """The step over ``packed``, a ``Projection``'s packed rows.
+def _step_kernel(packed: tuple) -> tuple:
+    """The step over ``packed``, a ``Projection``'s packed rows, and the
+    tables it reads.
 
     A block's table maps each subset of the block's states to the union of
     their packed rows; it is built by doubling, one state per pass, so a
-    block of w states costs 2^w ORs.  Up to 16 states a block holds 8: with
-    two tables (9 to 16 states) the step has no loop, one lookup per byte
-    ORed, and an estimate holds no state beyond ``len(packed)``, so the
-    high byte needs no mask.  Above 16 states a block holds 6 and the step
-    loops over the tables, a quarter the size: a search there seldom steps
-    enough estimates to pay back the build of tables of 256.  A step then
-    makes ceil(n/6) lookups for n states against ceil(n/8): as many at 17
-    and 18 states, one more from 19 to 24.
+    block of w states costs 2^w ORs.  Up to 16 states a block holds 8, and
+    there are always two tables: a system of 8 or fewer states gets ``[0]``
+    as its high table, since none of its estimates has a bit above the
+    first byte.  The step is then one lookup per byte ORed, with no loop,
+    and an estimate holds no state beyond ``len(packed)``, so the high byte
+    needs no mask; the observer reads the two tables inline.  Above 16
+    states a block holds 6 and the step loops over the tables, a quarter
+    the size: a search there seldom steps enough estimates to pay back the
+    build of tables of 256.  A step then makes ceil(n/6) lookups for n
+    states against ceil(n/8): as many at 17 and 18 states, one more from 19
+    to 24.
     """
     width = BLOCK if len(packed) <= 2 * BLOCK else NARROW
     part = (1 << width) - 1
@@ -236,13 +245,15 @@ def _step_kernel(packed: tuple) -> Callable[[int], int]:
             table += [v | row for v in table]
         tables.append(table)
 
-    if len(tables) == 2:
+    if width == BLOCK:
+        if len(tables) == 1:
+            tables.append([0])
         low, high = tables
 
         def step(mask: int) -> int:
             return low[mask & BYTE] | high[mask >> BLOCK]
 
-        return step
+        return step, tuple(tables)
 
     def step(mask: int) -> int:
         out = 0
@@ -251,7 +262,7 @@ def _step_kernel(packed: tuple) -> Callable[[int], int]:
             mask >>= width
         return out
 
-    return step
+    return step, tuple(tables)
 
 
 def _components(succ: list) -> list:
@@ -337,12 +348,14 @@ def project(des: Des) -> Projection:
         if offset is not None:
             moves[p] |= closures[q] << offset
     packed = tuple(_condense(comps, moves))
+    step, tables = _step_kernel(packed)
     return Projection(
         event_names=tuple(des.events[e].name for e in offsets),
         packed=packed,
         initial=union_rows(closures, mask_of(des.initial)),
         state_count=n,
-        step=_step_kernel(packed),
+        step=step,
+        tables=tables,
     )
 
 
@@ -359,8 +372,13 @@ def observer(pg: Projection, secret: int = 0, nonsecret: int = 0) -> dict:
     and misses the mask ``nonsecret``: the map is then the full observer's
     discovery order up to and including x.  With the default masks it
     never ends early.
+
+    Up to 16 states it reads the kernel's two tables inline, the step's
+    two lookups without a call per estimate; above, it calls ``pg.step``.
     """
     step = pg.step
+    inline = len(pg.tables) == 2
+    low, high = pg.tables if inline else (None, None)
     n = pg.state_count
     full = (1 << n) - 1
     x = pg.initial
@@ -370,7 +388,7 @@ def observer(pg: Projection, secret: int = 0, nonsecret: int = 0) -> dict:
         return parents
     queue = [x]  # parents' keys, read in order while the search appends
     for x in queue:
-        y = step(x)
+        y = low[x & BYTE] | high[x >> BLOCK] if inline else step(x)
         while y:
             z = y & full
             if z and z not in parents:

@@ -163,8 +163,10 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> 
     marked = secret | nonsecret
     for x in obs:
         secrets = x & secret
+        if not secrets:
+            continue
         key = x & marked
-        if not secrets or key in harvested:
+        if key in harvested:
             continue
         harvested.add(key)
         z = x & nonsecret

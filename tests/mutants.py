@@ -3,11 +3,12 @@
 A mutant is an exact replacement of one text in one file under ``src/``,
 whose old text occurs there exactly once.  For each mutant the runner
 copies ``src/`` to a temporary directory, applies the replacement there and
-runs the mutant's test selection against the copy.  The mutant is killed
-when that run reports a failing test, or when it takes twice as long as
-the runner's unmutated run of every selection, as a mutant that makes a
+runs the mutant's test selection against the copy.  The runner first
+times each distinct selection once on the unmutated copy.  The mutant is
+killed when its run reports a failing test, or when it takes twice as
+long as that unmutated run of its own selection, as a mutant that makes a
 loop endless does.  The runner exits 1 when a mutant survives, when its
-old text no longer matches, or when the selections fail on the unmutated
+old text no longer matches, or when a selection fails on the unmutated
 copy, so a refactor updates this list instead of dropping a mutant
 without notice.
 
@@ -66,6 +67,7 @@ NONDETERMINISM_RAISE = (
     "    if not is_deterministic(des):\n"
     '        raise ValueError("strong opacity is defined for deterministic systems only")\n'
 )
+OBSERVER_TESTS = ("tests/test_automata.py::test_observer_matches_reference_on_random_weak_systems",)
 CONDENSATION_TESTS = (
     "tests/test_automata.py::test_project_condenses_unobservable_components",
     "tests/test_automata.py::test_project_matches_oracle_rows_on_random_systems",
@@ -133,7 +135,7 @@ MUTANTS = (
         AUTOMATA,
         "    for x in queue:\n",
         "    while queue:\n        x = queue.pop()\n",
-        ("tests/test_automata.py::test_observer_matches_reference_on_random_weak_systems",),
+        OBSERVER_TESTS,
     ),
     Mutant(
         "observation-takes-last-match",
@@ -147,7 +149,7 @@ MUTANTS = (
         AUTOMATA,
         "    if not x & nonsecret and x & secret:\n        return parents\n    queue",
         "    queue",
-        ("tests/test_automata.py::test_observer_matches_reference_on_random_weak_systems",),
+        OBSERVER_TESTS,
     ),
     # the universal states
     Mutant(
@@ -164,6 +166,20 @@ MUTANTS = (
         "            return low[mask & BYTE] | high[mask >> BLOCK]\n",
         "            return low[mask & BYTE]\n",
         ("tests/test_automata.py::test_step_kernel_matches_rows",),
+    ),
+    Mutant(
+        "observer-inline-high-dropped",
+        AUTOMATA,
+        "        y = low[x & BYTE] | high[x >> BLOCK] if inline else step(x)\n",
+        "        y = low[x & BYTE] if inline else step(x)\n",
+        OBSERVER_TESTS,
+    ),
+    Mutant(
+        "high-table-not-padded",
+        AUTOMATA,
+        "        if len(tables) == 1:\n            tables.append([0])\n",
+        "",
+        OBSERVER_TESTS,
     ),
     # the kernel's width above 16 states; moving its bound changes only the time
     Mutant(
@@ -418,19 +434,18 @@ def main(names: list) -> int:
         print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
         return 2
     mutants = [known[name] for name in names] or list(MUTANTS)
-    tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
-    start = time.perf_counter()
-    code = run_tests(None, tests)
-    if code != 0:
-        print(f"the selections fail on the unmutated source (pytest exit {code})")
-        return 1
-    # each mutant runs a part of what this run ran; the factor covers the
-    # host's spread when that part is all of it
-    timeout = 2 * (time.perf_counter() - start)
+    timeouts = {}  # per distinct selection; the factor covers the host's spread
+    for tests in dict.fromkeys(m.tests for m in mutants):
+        start = time.perf_counter()
+        code = run_tests(None, tests)
+        if code != 0:
+            print(f"{' '.join(tests)} fails on the unmutated source (pytest exit {code})")
+            return 1
+        timeouts[tests] = 2 * (time.perf_counter() - start)
     failed = 0
     for mutant in mutants:
         try:
-            code = run_tests(mutant, mutant.tests, timeout)
+            code = run_tests(mutant, mutant.tests, timeouts[mutant.tests])
         except ValueError as exc:
             print(f"{'STALE':<16} {exc}")
             failed += 1
