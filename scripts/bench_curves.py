@@ -1,4 +1,4 @@
-"""Time the library in process, best of 3, into two records.
+"""Time the library in process, best of 3, into three records.
 
 Run from anywhere:
 
@@ -14,6 +14,12 @@ benchmark's ``nth_letter_des(n)`` (n + 1 states, 2^n estimates, no seed),
 and ``neutral_start``, the same system with state 0 neutral, answered at
 the observer.  At n = 18 (19 states) a step of the kernel makes one
 lookup more than with 8-state tables.
+
+``BENCH_product_curve.json``: the same row per n = 8 ... 15 on
+``shadowed_nth_letter``, the first family whose cost is in the product
+search: OPAQUE, 2^n estimates and 2^(n-1)·(2 + min(k, n)) product
+states.  At n ≤ 14 (up to 16 states) the kernel has 8-state tables, at
+n = 15 (17 states) 6-state ones.
 
 ``BENCH_project_sweep.json``: per n = 250, 500, 1,000 and 2,000 it
 records the times of ``project`` and ``verify_weak(des, INFINITE)``, the
@@ -42,7 +48,9 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE.parent / "tests"), str(HERE)]
 
 from bench_record import ROOT, add_run, provenance  # noqa: E402
-from conftest import benchmark_nth_letter, neutral_start_nth_letter, random_weak_instance  # noqa: E402
+from conftest import (  # noqa: E402
+    benchmark_nth_letter, neutral_start_nth_letter, random_weak_instance, shadowed_nth_letter,
+)
 from desopacity import INFINITE, Des, make_events, project, verify_weak  # noqa: E402
 
 KS = {"0": 0, "1": 1, "1000": 1000, "inf": INFINITE}
@@ -103,6 +111,7 @@ RECORDS = {
     "project_sweep": ((250, 500, 1000, 2000), sweep_row, {
         "random": lambda n: random_weak_instance(1, n, density=1.2), "chain": chain,
     }),
+    "product_curve": (range(8, 16), curve_row, {"shadowed_nth_letter": shadowed_nth_letter}),
 }
 
 

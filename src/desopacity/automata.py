@@ -15,18 +15,16 @@ builds the rows in one pass over the strongly connected components of the
 unobservable graph, O(n + m_u) unions for m_u unobservable moves.  The step
 kernel tables, for each block of states, the union of their packed rows
 over all subsets of the block, so stepping an estimate ORs one lookup per
-block and reads each event's successor off with a shift and a mask.  Up to
-16 states a block holds 8 states, and every such system has two tables,
-the high one ``[0]`` at 8 states or fewer: the step is two lookups ORed,
-with no loop.  Above 16 states a block holds 6, a table of 64 entries in
-place of 256: cheaper to build, for searches that step few estimates.  The
+block in one loop and reads each event's successor off with a shift and a
+mask; ``_step_kernel`` gives the block widths and what each costs.  The
 observer, the weak verifier's product and the DOT export step through this
-kernel; up to 16 states the observer reads the two tables inline, with no
-call per estimate.  The observer runs its own breadth-first loop and
-records only each estimate's parent estimate, from which
-``observation`` reads an observation back; it stops at the first estimate
-that meets a ``secret`` mask and misses a ``nonsecret`` mask, tested
-inline.  The weak verifier's product runs its own loop in ``weak.py``.
+kernel; at 9 to 16 states, where it has two tables, the observer reads
+them inline, with no call per estimate.  The observer runs its own
+breadth-first loop and records only each estimate's parent estimate, from
+which ``observation`` reads an observation back; it stops at the first
+estimate that meets a ``secret`` mask and misses a ``nonsecret`` mask,
+tested inline.  The weak verifier's product runs its own loop in
+``weak.py``.
 """
 
 from __future__ import annotations
@@ -203,11 +201,9 @@ class Projection:
     is the unobservable reach of the initial states.  Event names follow
     event-table order.  Unobservable reach distributes over union, so the
     step of a set Z on every event is the union of ``packed[q]`` over q in
-    Z, and no closure runs per set.  ``step(Z)`` is that union, one table
-    lookup per block of 8 states of Z, or of 6 above 16 states; ``tables``
-    are the index built from ``packed`` that it reads, exactly two of them
-    up to 16 states, where the observer reads them without calling
-    ``step``.
+    Z, and no closure runs per set.  ``step(Z)`` is that union, one loop
+    over ``tables``, the index built from ``packed`` (``_step_kernel``);
+    the observer reads two tables inline at 9 to 16 states.
     """
 
     event_names: tuple
@@ -224,17 +220,15 @@ def _step_kernel(packed: tuple) -> tuple:
 
     A block's table maps each subset of the block's states to the union of
     their packed rows; it is built by doubling, one state per pass, so a
-    block of w states costs 2^w ORs.  Up to 16 states a block holds 8, and
-    there are always two tables: a system of 8 or fewer states gets ``[0]``
-    as its high table, since none of its estimates has a bit above the
-    first byte.  The step is then one lookup per byte ORed, with no loop,
-    and an estimate holds no state beyond ``len(packed)``, so the high byte
-    needs no mask; the observer reads the two tables inline.  Above 16
-    states a block holds 6 and the step loops over the tables, a quarter
-    the size: a search there seldom steps enough estimates to pay back the
+    block of w states costs 2^w ORs.  The step loops over the tables, one
+    lookup per block.  Up to 16 states a block holds 8: one or two tables
+    of 256 entries.  Above 16 states a block holds 6, tables a quarter the
+    size: a search there seldom steps enough estimates to pay back the
     build of tables of 256.  A step then makes ceil(n/6) lookups for n
     states against ceil(n/8): as many at 17 and 18 states, one more from 19
-    to 24.
+    to 24.  So a kernel has exactly two tables at 9 to 16 states and at no
+    other size, and there the observer reads them inline, the high one
+    unmasked, since an estimate holds no state beyond ``len(packed)``.
     """
     width = BLOCK if len(packed) <= 2 * BLOCK else NARROW
     part = (1 << width) - 1
@@ -244,16 +238,6 @@ def _step_kernel(packed: tuple) -> tuple:
         for row in packed[base:base + width]:
             table += [v | row for v in table]
         tables.append(table)
-
-    if width == BLOCK:
-        if len(tables) == 1:
-            tables.append([0])
-        low, high = tables
-
-        def step(mask: int) -> int:
-            return low[mask & BYTE] | high[mask >> BLOCK]
-
-        return step, tuple(tables)
 
     def step(mask: int) -> int:
         out = 0
@@ -373,8 +357,9 @@ def observer(pg: Projection, secret: int = 0, nonsecret: int = 0) -> dict:
     discovery order up to and including x.  With the default masks it
     never ends early.
 
-    Up to 16 states it reads the kernel's two tables inline, the step's
-    two lookups without a call per estimate; above, it calls ``pg.step``.
+    Where the kernel has two tables, at 9 to 16 states (``_step_kernel``),
+    it reads them inline, without a call per estimate; otherwise it calls
+    ``pg.step``.
     """
     step = pg.step
     inline = len(pg.tables) == 2

@@ -6,7 +6,7 @@ import sys
 from collections import deque
 from pathlib import Path
 
-from desopacity import INFINITE, Des, is_deterministic, mask_of, states_of
+from desopacity import INFINITE, Des, is_deterministic, make_events, mask_of, states_of
 from desopacity.automata import union_rows
 from desopacity.oracle import GeneratorParams, OracleBounds, _close, _event_adj, _unobs_adj, random_des, simulate_observation
 
@@ -70,6 +70,26 @@ def neutral_start_nth_letter(n):
     every estimate holding the secret state n seeds its own pair (n, Z),
     2^(n-1) distinct seeds of one state."""
     return dataclasses.replace(benchmark_nth_letter(n), nonsecret=frozenset(range(1, n)))
+
+
+def shadowed_nth_letter(n):
+    """The first family whose cost is in the product search: the benchmark's
+    ``nth_letter_des(n)`` on a and b with all n + 1 states nonsecret, a
+    secret copy s of state 0 (s -a,b-> s, s -a-> 1), initial states {0, s},
+    and an observable c that no transition carries, so that no state is
+    universal and no pair is pruned.  n + 2 states, 2^n estimates, OPAQUE
+    at every k, with 2^(n-1)·(2 + min(k, n)) product states explored."""
+    base = benchmark_nth_letter(n)
+    a, b = base.events.index("a"), base.events.index("b")
+    s = n + 1
+    return Des(
+        state_count=n + 2,
+        events=make_events([*base.events.names, "c"]),
+        transitions=base.transitions | {(s, a, s), (s, b, s), (s, a, 1)},
+        initial=frozenset({0, s}),
+        secret=frozenset({s}),
+        nonsecret=frozenset(range(n + 1)),
+    )
 
 
 def revealing_estimate(des):

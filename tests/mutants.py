@@ -161,13 +161,6 @@ MUTANTS = (
     ),
     # the forks that stay on the verify request path
     Mutant(
-        "two-table-high-dropped",
-        AUTOMATA,
-        "            return low[mask & BYTE] | high[mask >> BLOCK]\n",
-        "            return low[mask & BYTE]\n",
-        ("tests/test_automata.py::test_step_kernel_matches_rows",),
-    ),
-    Mutant(
         "observer-inline-high-dropped",
         AUTOMATA,
         "        y = low[x & BYTE] | high[x >> BLOCK] if inline else step(x)\n",
@@ -175,10 +168,10 @@ MUTANTS = (
         OBSERVER_TESTS,
     ),
     Mutant(
-        "high-table-not-padded",
+        "observer-inline-past-two-tables",
         AUTOMATA,
-        "        if len(tables) == 1:\n            tables.append([0])\n",
-        "",
+        "    inline = len(pg.tables) == 2\n",
+        "    inline = len(pg.tables) >= 2\n",
         OBSERVER_TESTS,
     ),
     # the kernel's width above 16 states; moving its bound changes only the time

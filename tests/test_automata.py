@@ -280,8 +280,8 @@ def test_observer_matches_reference_on_nth_letter():
 
 @pytest.mark.parametrize("n", range(1, 19))
 def test_observer_matches_reference_on_random_weak_systems(n):
-    # 1-8 states: one table padded with the high table [0]; 9-16: the
-    # observer's inline two-table lookup; 17 and 18: its call of the step
+    # 1-8 states: the observer's call of the step on one table; 9-16: its
+    # inline two-table lookup; 17 and 18: its call of the step again
     for seed in range(10):
         for obs in (2, 3):
             _check_observer_against_reference(random_weak_instance(seed, n=n, obs=obs))
@@ -347,13 +347,19 @@ def test_step_kernel_matches_rows(n):
     # random masks and on every observer estimate; n covers one block and
     # two blocks of 8 states, whole or partial, up to 16 states, and whole
     # and partial blocks of 6 above, with 16 and 17 on either side of the
-    # change of width
+    # change of width.  The observer reads the tables inline exactly when
+    # there are two, which is right only if that means 9 to 16 states:
+    # ceil(n/8) tables of 256 entries up to 16 states, ceil(n/6) of 64
+    # above, the last one smaller for a partial block
     rng = random.Random(n)
     full = (1 << n) - 1
+    width = 8 if n <= 16 else 6
+    shape = [2 ** min(width, n - base) for base in range(0, n, width)]
     systems = [random_weak_instance(seed, n=n, obs=3) for seed in range(3)]
     systems.append(random_weak_instance(0, n=n, obs=0, unobs=2))  # no observable event
     for des in systems:
         pg = project(des)
+        assert [len(table) for table in pg.tables] == shape
         rows = oracle_rows(des)
         masks = [rng.getrandbits(n) for _ in range(50)] + [0, full, 1 << (n - 1)] + list(observer(pg))
         for x in masks:

@@ -6,7 +6,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from conftest import benchmark_nth_letter
+from conftest import benchmark_nth_letter, shadowed_nth_letter
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,6 +34,7 @@ def test_rows_match_the_latest_committed_run():
     rows = {
         "paper_curves": script.curve_row(benchmark_nth_letter(3), 3),
         "project_sweep": script.sweep_row(script.chain(5), 5),
+        "product_curve": script.curve_row(shadowed_nth_letter(3), 3),
     }
     for record, row in rows.items():
         families = _committed(record)["runs"][-1]["families"]
@@ -52,4 +53,5 @@ def test_add_run_replaces_only_the_run_of_the_same_src_tree(tmp_path):
         script.add_run(output, header, new)
     written = json.loads(output.read_text(encoding="utf-8"))
     assert written["runs"] == [run("two", 2), run("one", 3)]
-    assert list(written) == list(_committed("project_sweep")) == list(_committed("paper_curves"))
+    for record in ("paper_curves", "project_sweep", "product_curve"):
+        assert list(written) == list(_committed(record)), record

@@ -34,6 +34,7 @@ from conftest import (
     random_weak_instance,
     reference_product_search,
     revealing_estimate,
+    shadowed_nth_letter,
     two_way_violation_depth,
 )
 
@@ -546,6 +547,21 @@ def test_verify_weak_resource_bound():
         n = des.state_count
         v = verify_weak(des, INFINITE)
         assert v.stats.product_states_explored <= n * 2 ** n
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_product_search_on_shadowed_nth_letter(n):
+    # the first family whose cost is in the product: it grows by 2^(n-1)
+    # pairs per level up to k = n and is flat beyond, the paper's
+    # independence of k
+    des = shadowed_nth_letter(n)
+    for k in (0, 1, 2, n // 2, n, 1000, INFINITE):
+        verdict = verify_weak(des, k)
+        assert verdict.opaque, k
+        assert verdict.stats.observer_states == 2 ** n
+        assert verdict.stats.product_states_explored == 2 ** (n - 1) * (2 + min(k, n)), k
+    if n <= 7:
+        assert two_way_violation_depth(des) is None
 
 
 def test_admission_is_linear_in_the_seeds_of_one_state():
