@@ -15,11 +15,14 @@ and ``neutral_start``, the same system with state 0 neutral, answered at
 the observer.  At n = 18 (19 states) a step of the kernel makes one
 lookup more than with 8-state tables.
 
-``BENCH_product_curve.json``: the same row per n = 8 ... 15 on
-``shadowed_nth_letter``, the first family whose cost is in the product
-search: OPAQUE, 2^n estimates and 2^(n-1)·(2 + min(k, n)) product
-states.  At n ≤ 14 (up to 16 states) the kernel has 8-state tables, at
-n = 15 (17 states) 6-state ones.
+``BENCH_product_curve.json``: the same row on the two families whose
+cost is in the product search.  Per n = 8 ... 15 on
+``shadowed_nth_letter``: OPAQUE, 2^n estimates and 2^(n-1)·(2 + min(k,
+n)) product states.  At n ≤ 14 (up to 16 states) the kernel has 8-state
+tables, at n = 15 (17 states) 6-state ones.  Per n = 6 ... 12 on
+``det_shadowed``, read as G′ = ``strong_to_weak(normalize(det_shadowed(n)))``
+(2n + 6 states): strongly OPAQUE, 2^n estimates and (n + 6)·2^n product
+states at k ≥ 1.
 
 ``BENCH_project_sweep.json``: per n = 250, 500, 1,000 and 2,000 it
 records the times of ``project`` and ``verify_weak(des, INFINITE)``, the
@@ -49,9 +52,9 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE.parent / "tests"), str(HERE)]
 
 from bench_record import ROOT, add_run, provenance  # noqa: E402
 from conftest import (  # noqa: E402
-    benchmark_nth_letter, neutral_start_nth_letter, random_weak_instance, shadowed_nth_letter,
+    benchmark_nth_letter, det_shadowed, neutral_start_nth_letter, random_weak_instance, shadowed_nth_letter,
 )
-from desopacity import INFINITE, Des, make_events, project, verify_weak  # noqa: E402
+from desopacity import INFINITE, Des, make_events, normalize, project, strong_to_weak, verify_weak  # noqa: E402
 
 KS = {"0": 0, "1": 1, "1000": 1000, "inf": INFINITE}
 REPEATS = 3
@@ -104,22 +107,32 @@ def sweep_row(des: Des, n: int) -> dict:
     }
 
 
+SWEEP = (250, 500, 1000, 2000)
+# record -> (row, family -> (sizes, builder))
 RECORDS = {
-    "paper_curves": (range(10, 19), curve_row, {
-        "nth_letter": benchmark_nth_letter, "neutral_start": neutral_start_nth_letter,
+    "paper_curves": (curve_row, {
+        "nth_letter": (range(10, 19), benchmark_nth_letter),
+        "neutral_start": (range(10, 19), neutral_start_nth_letter),
     }),
-    "project_sweep": ((250, 500, 1000, 2000), sweep_row, {
-        "random": lambda n: random_weak_instance(1, n, density=1.2), "chain": chain,
+    "project_sweep": (sweep_row, {
+        "random": (SWEEP, lambda n: random_weak_instance(1, n, density=1.2)), "chain": (SWEEP, chain),
     }),
-    "product_curve": (range(8, 16), curve_row, {"shadowed_nth_letter": shadowed_nth_letter}),
+    "product_curve": (curve_row, {
+        "shadowed_nth_letter": (range(8, 16), shadowed_nth_letter),
+        "det_shadowed": (range(6, 13), lambda n: strong_to_weak(normalize(det_shadowed(n)))),
+    }),
 }
 
 
 def main(argv) -> int:
     directory, measured = Path(argv[0]) if argv else ROOT, provenance()
-    for record, (sizes, row, builders) in RECORDS.items():
-        families = {family: [row(build(n), n) for n in sizes] for family, build in builders.items()}
-        header = {"command": "scripts/bench_curves.py", "sizes": list(sizes), "best_of": REPEATS}
+    for record, (row, builders) in RECORDS.items():
+        families = {family: [row(build(n), n) for n in sizes] for family, (sizes, build) in builders.items()}
+        header = {
+            "command": "scripts/bench_curves.py",
+            "sizes": {family: list(sizes) for family, (sizes, _build) in builders.items()},
+            "best_of": REPEATS,
+        }
         add_run(directory / f"BENCH_{record}.json", header, {**measured, "families": families})
     return 0
 

@@ -202,8 +202,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
 
+    for command in sub.choices.values():
+        command.plain = _plain_table(command)  # for _read_plain
     parser.commands = sub.choices  # command name -> its parser, for run
     return parser
+
+
+def _plain_table(command: argparse.ArgumentParser) -> tuple:
+    """``command``'s option table for ``_read_plain``: option string ->
+    action, for each action that stores one value or a constant; the
+    required actions; and the defaults argparse starts the namespace with.
+    Help and every other kind of action stay out of the table, so a
+    command line that names one is not plain."""
+    actions = command._actions  # argparse keeps no public list of them
+    options = {
+        option: action
+        for action in actions
+        if isinstance(action, argparse._StoreConstAction)
+        or (isinstance(action, argparse._StoreAction) and action.nargs is None and action.choices is None)
+        for option in action.option_strings
+    }
+    defaults = {
+        **command._defaults,  # what set_defaults gave
+        **{a.dest: a.default for a in actions if argparse.SUPPRESS not in (a.dest, a.default)},
+    }
+    return options, [a for a in actions if a.required], defaults
+
+
+def _read_plain(command: argparse.ArgumentParser, argv):
+    """The namespace ``command.parse_known_args(argv)`` returns, with
+    nothing unread, when ``argv`` is plain: every token is one of the
+    command's option strings or the value after one that takes a value,
+    every value is a token that does not start with ``-`` and converts by
+    the option's ``type``, and no required option is missing.  None for
+    any other ``argv``."""
+    options, required, defaults = command.plain
+    values, seen = dict(defaults), set()
+    tokens = iter(argv)
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        values[action.dest] = value
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(**values)
 
 
 @functools.cache
@@ -223,18 +278,16 @@ def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
-    # The named command's parser reads the arguments after the name, as the
-    # top-level parser would hand them to it.  Any other first argument, or
-    # arguments the command leaves unread, go through the top-level parser,
-    # so help and usage errors read as they always have.
+    # A plain command line is read in one pass over the named command's
+    # option table.  Any other, help and usage errors included, goes
+    # through the top-level parser, so it reads as it always has.
     command = parser.commands.get(argv[0]) if argv else None
-    try:
-        if command is not None:
-            args, unread = command.parse_known_args(argv[1:])
-        if command is None or unread:
+    args = None if command is None else _read_plain(command, argv[1:])
+    if args is None:
+        try:
             args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
     except (ValueError, OSError) as exc:

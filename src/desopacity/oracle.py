@@ -325,15 +325,14 @@ def random_des(params: GeneratorParams) -> Des:
         [f"u{i + 1}" for i in range(params.unobservable_event_count)],
     )
     transitions = set()
+    draw, threshold = rng.random, params.transition_density / n
     for p in range(n):
         for e in range(len(events)):
             if params.deterministic:
-                if rng.random() < params.transition_density:
+                if draw() < params.transition_density:
                     transitions.add((p, e, rng.randrange(n)))
             else:
-                for q in range(n):
-                    if rng.random() < params.transition_density / n:
-                        transitions.add((p, e, q))
+                transitions.update([(p, e, q) for q in range(n) if draw() < threshold])
     secret = frozenset(q for q in range(n) if rng.random() < params.secret_fraction)
     rest = [q for q in range(n) if q not in secret]
     if params.allow_neutral:

@@ -92,6 +92,30 @@ def shadowed_nth_letter(n):
     )
 
 
+def det_shadowed(n):
+    """The strong counterpart of ``shadowed_nth_letter``, deterministic:
+    0 -a,b-> 0, 0 -u-> p, p -a-> 1 and i -a,b-> i+1 for i = 1..n-1; a
+    secret s entered by 0 -v-> s, with s -a,b-> s and s -u-> p; and an
+    observable c that no transition carries.  u and v are unobservable,
+    and every state but s is nonsecret.  n + 3 states (p = n + 1,
+    s = n + 2), initial state 0.  Strongly OPAQUE at every k, with 2^n
+    estimates; ``verify_strong`` explores (n + 6)·2^n product states at
+    k >= 1 and (n + 8)·2^(n-1) at k = 0."""
+    events = make_events(["a", "b", "c"], ["u", "v"])
+    a, b, u, v = (events.index(name) for name in "abuv")
+    p, s = n + 1, n + 2
+    transitions = {(0, a, 0), (0, b, 0), (0, u, p), (p, a, 1), (0, v, s), (s, a, s), (s, b, s), (s, u, p)}
+    transitions |= {(i, e, i + 1) for i in range(1, n) for e in (a, b)}
+    return Des(
+        state_count=n + 3,
+        events=events,
+        transitions=frozenset(transitions),
+        initial=frozenset({0}),
+        secret=frozenset({s}),
+        nonsecret=frozenset(range(n + 2)),
+    )
+
+
 def revealing_estimate(des):
     """The observer's stop predicate in ``verify_weak``: an estimate with a
     secret state and no nonsecret one."""

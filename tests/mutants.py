@@ -62,6 +62,10 @@ TRANSFORM_TESTS = (
 PRIME_TESTS = ("tests/test_strong.py::test_strong_to_weak_primes_past_every_name_in_use",)
 FRESH_EVENT_TESTS = ("tests/test_strong.py::test_strong_to_weak_fresh_event_avoids_collision",)
 PARSE_TESTS = ("tests/test_cli.py::test_parse_names_the_first_malformed_transition",)
+PLAIN_TESTS = (
+    "tests/test_cli.py::test_run_reads_arguments_as_the_top_level_parser_does",
+    "tests/test_cli.py::test_read_plain_matches_the_command_parser",
+)
 DECIDED_TESTS = ("tests/test_weak.py::test_decided_verdict_matches_the_full_search",)
 NONDETERMINISM_RAISE = (
     "    if not is_deterministic(des):\n"
@@ -208,13 +212,23 @@ MUTANTS = (
             *DECIDED_TESTS,
         ),
     ),
+    # the plain command-line reader
     Mutant(
-        "unread-arguments-accepted",
+        "plain-dash-value-accepted",
         CLI,
-        "        if command is None or unread:\n",
-        "        if command is None:\n",
-        ("tests/test_cli.py::test_run_reads_arguments_as_the_top_level_parser_does",),
+        '        if value is None or value.startswith("-"):\n',
+        "        if value is None:\n",
+        PLAIN_TESTS,
     ),
+    Mutant("plain-type-skipped", CLI, "                value = action.type(value)\n", "                pass\n", PLAIN_TESTS),
+    Mutant(
+        "plain-required-skipped",
+        CLI,
+        "    if not seen.issuperset(required):\n        return None\n",
+        "",
+        PLAIN_TESTS,
+    ),
+    Mutant("plain-set-defaults-skipped", CLI, "        **command._defaults,  # what set_defaults gave\n", "", PLAIN_TESTS),
     # the CLI's commands
     Mutant(
         "bench-reports-slowest-repeat",

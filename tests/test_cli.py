@@ -36,7 +36,9 @@ from desopacity.cli import build_parser, run
 from desopacity.desfile import DesFormatError
 from desopacity.dot import observer_to_dot
 
-from conftest import benchmark_nth_letter, random_det_instance, random_weak_instance, reference_observer
+from conftest import (
+    _benchmark_workloads, benchmark_nth_letter, random_det_instance, random_weak_instance, reference_observer,
+)
 
 FIXTURES = ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")
 
@@ -742,21 +744,96 @@ PARSE_CASES = [
     ["random", "--states", "x"], ["normalize", "--input", "{fig1}"], ["verify-weak", "verify-weak"],
     ["transform", "--input", "{fig1}"], ["transform", "-h"],
     ["normalize", "--input", "{fig1}", "--output", "o", "--bogus"],
+    ["verify-weak", "--input", "{fig1}", "--witness", "--k", "1", "--witness"],
+    ["verify-weak", "--input", "missing", "--k", "1", "--input", "{fig1}", "--witness"],
+    ["verify-weak", "--input", "{fig1}", "--k", "-1"], ["verify-weak", "--input", "", "--k", "1"],
+    ["verify-weak", "--input", "{fig1}", "--k"],
+    ["random", "--states", "5", "--obs-events", "2", "--unobs-events", "1", "--density", "1.5",
+     "--secret-frac", "0.3", "--seed", "7", "--output", "{tmp}/r.des"],
+    ["bench", "--input", "{fig1}", "--k-list", "0,inf", "--repeat", "2"],
 ]
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
-def test_run_reads_arguments_as_the_top_level_parser_does(argv, capsys):
-    # run reads a command's arguments with the command's own parser; exit
-    # code, output, help text and usage errors stay the top-level parser's
-    argv = [part.replace("{fig1}", fixture_path("fig1")) for part in argv]
+def test_run_reads_arguments_as_the_top_level_parser_does(argv, tmp_path, monkeypatch, capsys):
+    # run reads a plain command line itself; exit code, output, the files
+    # written, help text and usage errors stay the top-level parser's
+    argv = [part.replace("{fig1}", fixture_path("fig1")).replace("{tmp}", str(tmp_path)) for part in argv]
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))  # bench's times
     outcomes = []
     for runner in (_top_level_run, run):
         out = io.StringIO()
         code = runner(argv, out=out)
         captured = capsys.readouterr()
-        outcomes.append((code, out.getvalue(), captured.out, captured.err))
+        written = sorted((path.name, path.read_text(encoding="utf-8")) for path in tmp_path.iterdir())
+        outcomes.append((code, out.getvalue(), captured.out, captured.err, written))
     assert outcomes[1] == outcomes[0]
+
+
+# One command line per command that argparse reads in full; the property
+# below edits these into plain and other command lines.
+VALID_ARGV = {
+    "verify-weak": ["--input", "f", "--k", "1", "--witness", "--stats", "--dot", "d"],
+    "verify-strong": ["--input", "f", "--k", "inf", "--witness", "--stats"],
+    "normalize": ["--input", "f", "--output", "o"],
+    "transform": ["--input", "f", "--output", "o"],
+    "observer": ["--input", "f", "--dot", "d"],
+    "oracle": ["weak", "--input", "f", "--k", "1", "--mu-max", "3", "--nu-max", "2"],
+    "random": ["--states", "5", "--obs-events", "2", "--unobs-events", "1", "--density", "1.5",
+               "--secret-frac", "0.3", "--seed", "7", "--output", "o", "--deterministic"],
+    "bench": ["--input", "f", "--k-list", "0,inf", "--repeat", "2"],
+}
+OTHER_TOKENS = (
+    "-h", "--help", "--inp", "--k=1", "--", "-", "-1", "-x", "", "x", "0", "2.5", "1_0", " 3", "inf", "weak",
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_read_plain_matches_the_command_parser(data):
+    # whenever _read_plain answers, argparse reads the same namespace and
+    # leaves nothing unread; an unedited command line with no positional
+    # argument is plain
+    assert set(VALID_ARGV) == set(cli._parser().commands)
+    name = data.draw(st.sampled_from(sorted(VALID_ARGV)))
+    command = cli._parser().commands[name]
+    options = [option for action in command._actions for option in action.option_strings]
+    argv = list(VALID_ARGV[name])
+    edits = data.draw(st.lists(st.sampled_from(("duplicate", "drop", "swap", "insert")), max_size=4))
+    for edit in edits:
+        i, j = (data.draw(st.integers(0, max(len(argv) - 1, 0))) for _ in range(2))
+        if edit == "insert":
+            argv.insert(i, data.draw(st.sampled_from(options + list(OTHER_TOKENS))))
+        elif argv and edit == "duplicate":
+            argv.insert(j, argv[i])
+        elif argv and edit == "drop":
+            del argv[i]
+        elif argv:
+            argv[i], argv[j] = argv[j], argv[i]
+    plain = cli._read_plain(command, argv)
+    if not edits and name != "oracle":
+        assert plain is not None
+    if plain is not None:
+        try:
+            expected, unread = command.parse_known_args(argv)
+        except SystemExit:
+            pytest.fail(f"_read_plain read {argv!r}, which argparse rejects")
+        assert unread == [] and vars(plain) == vars(expected), argv
+
+
+def test_benchmark_requests_are_all_plain(tmp_path, monkeypatch):
+    # every request of the three pinned pools is read without the
+    # top-level parser
+    workloads = _benchmark_workloads()
+    calls = []
+    parser = cli._parser()
+    monkeypatch.setattr(parser, "parse_args", lambda *a, **kw: calls.append(a))
+    requests = [r for w in workloads.WORKLOADS for r in workloads.prepare(w, 1, tmp_path / w)]
+    assert len(requests) == 4 * 49
+    for request in requests:
+        code = run(list(request.argv), out=io.StringIO())
+        assert code == ("OPAQUE", "NOT_OPAQUE").index(request.expected), request.argv
+    assert calls == []
 
 
 def test_cli_builds_parser_once(monkeypatch):

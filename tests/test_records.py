@@ -30,6 +30,8 @@ def _shape(value):
 
 
 def test_rows_match_the_latest_committed_run():
+    # the latest run holds every family the script writes, with its sizes,
+    # and each family's rows have the script's keys
     script = _script()
     rows = {
         "paper_curves": script.curve_row(benchmark_nth_letter(3), 3),
@@ -37,8 +39,13 @@ def test_rows_match_the_latest_committed_run():
         "product_curve": script.curve_row(shadowed_nth_letter(3), 3),
     }
     for record, row in rows.items():
-        families = _committed(record)["runs"][-1]["families"]
-        assert _shape(row) == _shape(next(iter(families.values()))[0]), record
+        committed, (_row, builders) = _committed(record), script.RECORDS[record]
+        families = committed["runs"][-1]["families"]
+        assert committed["sizes"] == {family: list(sizes) for family, (sizes, _build) in builders.items()}
+        for family, (sizes, _build) in builders.items():
+            assert [r["n"] for r in families[family]] == list(sizes), (record, family)
+            for committed_row in families[family]:
+                assert _shape(row) == _shape(committed_row), (record, family)
 
 
 def test_add_run_replaces_only_the_run_of_the_same_src_tree(tmp_path):

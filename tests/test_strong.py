@@ -23,6 +23,7 @@ from desopacity import (
 from desopacity.oracle import OracleBounds, simulate_observation, strong_violation_search
 
 from conftest import (
+    det_shadowed,
     exhaustive_strong_bounds,
     language_equivalent,
     normalize_reference,
@@ -366,3 +367,18 @@ def test_strong_implies_weak():
         for k in (0, 1, 2, INFINITE):
             if verify_strong(des, k).opaque:
                 assert verify_weak(des, k).opaque
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_product_search_on_det_shadowed(n):
+    # the strong family whose cost is in the product: (n + 6)·2^n pairs at
+    # every k >= 1, fewer at k = 0
+    des = det_shadowed(n)
+    if n <= 6:
+        for k in (0, 1, 2, n, 1000, INFINITE):
+            verdict = verify_strong(des, k)
+            assert verdict.opaque, k
+            assert verdict.stats.observer_states == 2 ** n
+            pairs = (n + 8) * 2 ** (n - 1) if k == 0 else (n + 6) * 2 ** n
+            assert verdict.stats.product_states_explored == pairs, k
+    assert two_way_strong_violation_depth(des) is None
