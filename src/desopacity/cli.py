@@ -149,84 +149,96 @@ def _cmd_bench(args, out) -> int:
     return 0
 
 
+# Each command: the defaults its set_defaults sets, then each of its
+# arguments as (name, add_argument keywords), in the order its usage lists
+# them.  Every argument stores one value or, with store_true, a constant.
+COMMANDS = {
+    "verify-weak": (
+        {"func": _cmd_verify_weak},
+        ("--input", {"required": True}),
+        ("--k", {"required": True, "help": "nonnegative integer or 'inf'"}),
+        ("--witness", {"action": "store_true"}),
+        ("--stats", {"action": "store_true"}),
+        ("--dot", {"help": "directory for DOT exports"}),
+    ),
+    "verify-strong": (
+        {"func": _cmd_verify_strong},
+        ("--input", {"required": True}),
+        ("--k", {"required": True, "help": "nonnegative integer or 'inf'"}),
+        ("--witness", {"action": "store_true"}),
+        ("--stats", {"action": "store_true"}),
+    ),
+    "normalize": (
+        {"func": _cmd_rewrite, "rewrite": normalize},
+        ("--input", {"required": True}),
+        ("--output", {"required": True}),
+    ),
+    "transform": (
+        {"func": _cmd_rewrite, "rewrite": strong_to_weak},
+        ("--input", {"required": True}),
+        ("--output", {"required": True}),
+    ),
+    "observer": (
+        {"func": _cmd_observer},
+        ("--input", {"required": True}),
+        ("--dot", {"required": True}),
+    ),
+    "oracle": (
+        {"func": _cmd_oracle},
+        ("kind", {"choices": ["weak", "strong"]}),
+        ("--input", {"required": True}),
+        ("--k", {"required": True}),
+        ("--mu-max", {"type": int, "required": True}),
+        ("--nu-max", {"type": int, "required": True, "help": "bound on the continuation's length; 'oracle strong' ignores it"}),
+    ),
+    "random": (
+        {"func": _cmd_random},
+        ("--states", {"type": int, "required": True}),
+        ("--obs-events", {"type": int, "required": True}),
+        ("--unobs-events", {"type": int, "required": True}),
+        ("--density", {"type": float, "required": True}),
+        ("--secret-frac", {"type": float, "required": True}),
+        ("--seed", {"type": int, "required": True}),
+        ("--output", {"required": True}),
+        ("--deterministic", {"action": "store_true"}),
+    ),
+    "bench": (
+        {"func": _cmd_bench},
+        ("--input", {"required": True}),
+        ("--k-list", {"required": True, "help": "comma-separated ks, e.g. 1,1000,inf"}),
+        ("--repeat", {"type": int, "default": 1}),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="desopacity", description="Opacity verification for discrete-event systems.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_verify(name, func, with_dot):
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True)
-        p.add_argument("--k", required=True, help="nonnegative integer or 'inf'")
-        p.add_argument("--witness", action="store_true")
-        p.add_argument("--stats", action="store_true")
-        if with_dot:
-            p.add_argument("--dot", help="directory for DOT exports")
-        p.set_defaults(func=func)
-
-    add_verify("verify-weak", _cmd_verify_weak, with_dot=True)
-    add_verify("verify-strong", _cmd_verify_strong, with_dot=False)
-
-    for name, rewrite in (("normalize", normalize), ("transform", strong_to_weak)):
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True)
-        p.add_argument("--output", required=True)
-        p.set_defaults(func=_cmd_rewrite, rewrite=rewrite)
-
-    p = sub.add_parser("observer")
-    p.add_argument("--input", required=True)
-    p.add_argument("--dot", required=True)
-    p.set_defaults(func=_cmd_observer)
-
-    p = sub.add_parser("oracle")
-    p.add_argument("kind", choices=["weak", "strong"])
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--mu-max", type=int, required=True)
-    p.add_argument("--nu-max", type=int, required=True, help="bound on the continuation's length; 'oracle strong' ignores it")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("random")
-    p.add_argument("--states", type=int, required=True)
-    p.add_argument("--obs-events", type=int, required=True)
-    p.add_argument("--unobs-events", type=int, required=True)
-    p.add_argument("--density", type=float, required=True)
-    p.add_argument("--secret-frac", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--deterministic", action="store_true")
-    p.set_defaults(func=_cmd_random)
-
-    p = sub.add_parser("bench")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k-list", required=True, help="comma-separated ks, e.g. 1,1000,inf")
-    p.add_argument("--repeat", type=int, default=1)
-    p.set_defaults(func=_cmd_bench)
-
-    for command in sub.choices.values():
-        command.plain = _plain_table(command)  # for _read_plain
+    for name, (defaults, *arguments) in COMMANDS.items():
+        command = sub.add_parser(name)
+        actions = [command.add_argument(argument, **keywords) for argument, keywords in arguments]
+        command.set_defaults(**defaults)
+        command.plain = _plain_table(actions, defaults)  # for _read_plain
     parser.commands = sub.choices  # command name -> its parser, for run
     return parser
 
 
-def _plain_table(command: argparse.ArgumentParser) -> tuple:
-    """``command``'s option table for ``_read_plain``: option string ->
-    action, for each action that stores one value or a constant; the
-    required actions; and the defaults argparse starts the namespace with.
-    Help and every other kind of action stay out of the table, so a
-    command line that names one is not plain."""
-    actions = command._actions  # argparse keeps no public list of them
+def _plain_table(actions, defaults) -> tuple:
+    """The option table ``_read_plain`` reads a command by, from the actions
+    its arguments added and the defaults its ``set_defaults`` set: option
+    string -> action, for each action that stores one value or a constant;
+    the required actions; and the values argparse starts the namespace
+    with.  Help is not among the actions and a positional argument has no
+    option string, so neither is in the table, and a command line that
+    asks for help or gives a positional argument is not plain."""
     options = {
         option: action
         for action in actions
-        if isinstance(action, argparse._StoreConstAction)
-        or (isinstance(action, argparse._StoreAction) and action.nargs is None and action.choices is None)
+        if action.choices is None and action.nargs in (None, 0)
         for option in action.option_strings
     }
-    defaults = {
-        **command._defaults,  # what set_defaults gave
-        **{a.dest: a.default for a in actions if argparse.SUPPRESS not in (a.dest, a.default)},
-    }
-    return options, [a for a in actions if a.required], defaults
+    start = {**defaults, **{action.dest: action.default for action in actions}}
+    return options, [action for action in actions if action.required], start
 
 
 def _read_plain(command: argparse.ArgumentParser, argv):

@@ -92,6 +92,20 @@ def shadowed_nth_letter(n):
     )
 
 
+def late_reveal(n):
+    """``shadowed_nth_letter(n)`` with neutral states t_1..t_n (2n + 2
+    states): s -a-> t_1, t_i -a,b-> t_(i+1) and t_n -c-> t_n.  The run
+    a^n c reveals the secret s n + 1 observations after it, since no
+    nonsecret state follows c: OPAQUE exactly for k <= n, with 2^n + 1
+    estimates and (1 + min(k, n))·2^n product states explored, plus 1 when
+    NOT_OPAQUE, at depth n + 1."""
+    base = shadowed_nth_letter(n)
+    a, b, c = (base.events.index(name) for name in "abc")
+    s, t = n + 1, range(n + 2, 2 * n + 2)  # t[i] is t_(i+1)
+    moves = {(s, a, t[0]), (t[-1], c, t[-1])} | {(t[i], e, t[i + 1]) for i in range(n - 1) for e in (a, b)}
+    return dataclasses.replace(base, state_count=2 * n + 2, transitions=base.transitions | moves, state_names=None)
+
+
 def det_shadowed(n):
     """The strong counterpart of ``shadowed_nth_letter``, deterministic:
     0 -a,b-> 0, 0 -u-> p, p -a-> 1 and i -a,b-> i+1 for i = 1..n-1; a

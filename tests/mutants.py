@@ -5,12 +5,12 @@ whose old text occurs there exactly once.  For each mutant the runner
 copies ``src/`` to a temporary directory, applies the replacement there and
 runs the mutant's test selection against the copy.  The runner first
 times each distinct selection once on the unmutated copy.  The mutant is
-killed when its run reports a failing test, or when it takes twice as
-long as that unmutated run of its own selection, as a mutant that makes a
-loop endless does.  The runner exits 1 when a mutant survives, when its
-old text no longer matches, or when a selection fails on the unmutated
-copy, so a refactor updates this list instead of dropping a mutant
-without notice.
+killed when its run reports a failing test, when the mutated package does
+not import, or when the run takes twice as long as that unmutated run of
+its own selection, as a mutant that makes a loop endless does.  The
+runner exits 1 when a mutant survives, when its old text no longer
+matches, or when a selection fails on the unmutated copy, so a refactor
+updates this list instead of dropping a mutant without notice.
 
 Run from anywhere, with pytest installed::
 
@@ -228,7 +228,20 @@ MUTANTS = (
         "",
         PLAIN_TESTS,
     ),
-    Mutant("plain-set-defaults-skipped", CLI, "        **command._defaults,  # what set_defaults gave\n", "", PLAIN_TESTS),
+    Mutant(
+        "plain-set-defaults-skipped",
+        CLI,
+        "start = {**defaults, **{action.dest: action.default for action in actions}}",
+        "start = {action.dest: action.default for action in actions}",
+        PLAIN_TESTS,
+    ),
+    Mutant(
+        "plain-flags-excluded",
+        CLI,
+        "action.nargs in (None, 0)",
+        "action.nargs is None",
+        ("tests/test_cli.py::test_benchmark_requests_are_all_plain",),
+    ),
     # the CLI's commands
     Mutant(
         "bench-reports-slowest-repeat",
@@ -240,8 +253,8 @@ MUTANTS = (
     Mutant(
         "rewrite-commands-swapped",
         CLI,
-        '(("normalize", normalize), ("transform", strong_to_weak))',
-        '(("normalize", strong_to_weak), ("transform", normalize))',
+        '"rewrite": normalize}',
+        '"rewrite": strong_to_weak}',
         ("tests/test_cli.py::test_strong_library_matches_cli_without_nonsecret",),
     ),
     # the projection and the DOT export
@@ -401,6 +414,23 @@ MUTANTS = (
 )
 
 
+# pytest with the arguments after the first, in an interpreter that first
+# imports the package from the copy named by the first: a mutant that breaks
+# the import exits 1, as a failing test does, and a package found outside the
+# copy, an installed one, exits OUTSIDE_COPY, which pytest never does
+OUTSIDE_COPY = 99
+PYTEST_IN_COPY = f"""
+import sys
+from pathlib import Path
+import desopacity.cli  # imports every module of the package
+if not Path(desopacity.cli.__file__).is_relative_to(sys.argv[1]):
+    print(desopacity.cli.__file__, file=sys.stderr)
+    sys.exit({OUTSIDE_COPY})
+import pytest
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
 def apply(mutant: Mutant, root: Path) -> None:
     """Apply ``mutant`` to the tree at ``root``; raise ValueError unless its
     old text occurs exactly once."""
@@ -422,16 +452,14 @@ def run_tests(mutant: Mutant | None, tests: tuple, timeout: float | None = None)
         if mutant is not None:
             apply(mutant, copy)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-        # the tests must import the copy, not an installed package
-        probe = [sys.executable, "-c", "import desopacity; print(desopacity.__file__)"]
-        imported = subprocess.run(probe, cwd=ROOT, env=env, capture_output=True, text=True).stdout.strip()
-        if not Path(imported).is_relative_to(copy):
-            raise RuntimeError(f"the tests import {imported!r}, not the copy under {tmp}")
+        command = [sys.executable, "-c", PYTEST_IN_COPY, str(copy), "-q", "-x", "-p", "no:cacheprovider", *tests]
         try:
-            return subprocess.run(command, cwd=ROOT, env=env, capture_output=True, timeout=timeout).returncode
+            run = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)
         except subprocess.TimeoutExpired:
             return None
+        if run.returncode == OUTSIDE_COPY:
+            raise RuntimeError(f"the tests import {run.stderr.strip()!r}, not the copy under {tmp}")
+        return run.returncode
 
 
 def main(names: list) -> int:
@@ -457,7 +485,8 @@ def main(names: list) -> int:
             print(f"{'STALE':<16} {exc}")
             failed += 1
             continue
-        # pytest exits 1 when a test failed; another code is an error of the run
+        # the run exits 1 when a test failed or the package did not import;
+        # another code is an error of the run
         outcome = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(code, f"ERROR (pytest exit {code})")
         failed += code not in (1, None)
         print(f"{outcome:<16} {mutant.name}")

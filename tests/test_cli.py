@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -851,6 +852,18 @@ def test_cli_builds_parser_once(monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(calls) == 1
+
+
+def test_cli_names_no_private_attribute():
+    # the plain reader's table is built from the actions add_argument
+    # returns, not from argparse's private attributes and classes
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")
+    ]
+    assert private == []
 
 
 def _expected(compute, render):

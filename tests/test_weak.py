@@ -27,6 +27,7 @@ from desopacity.weak import Verdict, VerifyStats, check_k, path_to
 
 from conftest import (
     exhaustive_weak_bounds,
+    late_reveal,
     neutral_start_nth_letter,
     oracle_rows,
     pinned_pool,
@@ -562,6 +563,26 @@ def test_product_search_on_shadowed_nth_letter(n):
         assert verdict.stats.product_states_explored == 2 ** (n - 1) * (2 + min(k, n)), k
     if n <= 7:
         assert two_way_violation_depth(des) is None
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_product_search_on_late_reveal(n):
+    # the product family's NOT_OPAQUE variant: the search runs n + 1 full
+    # levels before the violation that a^n c shows from the secret state
+    des = late_reveal(n)
+    for k in (0, 1, 2, n // 2, n, n + 1, n + 2, 1000, INFINITE):
+        verdict = verify_weak(des, k)
+        opaque = k is not INFINITE and k <= n
+        assert verdict.opaque == opaque, k
+        assert verdict.stats.observer_states == 2 ** n + 1
+        assert verdict.stats.product_states_explored == (1 + min(k, n)) * 2 ** n + (not opaque), k
+        assert verdict.stats.bfs_depth == (min(k, n) if opaque else n + 1), k
+        if not opaque:
+            w = verdict.witness
+            assert (w.mu, des.state_name(w.secret_state), w.nu) == ((), str(n + 1), ("a",) * n + ("c",)), k
+            assert validate_weak_witness(des, k, w), k
+    if n <= 7:
+        assert two_way_violation_depth(des) == n + 1
 
 
 def test_admission_is_linear_in_the_seeds_of_one_state():
