@@ -40,11 +40,16 @@ NARROW = 6
 
 
 def _check_names(names: tuple) -> None:
-    """Reject a name that holds a line break or does not encode as UTF-8
-    (a lone surrogate): the CLI prints each name inside one line of its
-    UTF-8 output.  Some name fails a test iff the names joined do, so valid
-    names cost one scan of the joined names per test."""
-    joined = "".join(names)
+    """Reject a name that is not a string, holds a line break or does not
+    encode as UTF-8 (a lone surrogate): the CLI prints each name inside one
+    line of its UTF-8 output.  Some name fails a test iff the names joined
+    do, so valid names cost one join and one scan of the joined names per
+    test."""
+    try:
+        joined = "".join(names)
+    except TypeError:
+        bad = next(name for name in names if not isinstance(name, str))
+        raise ValueError(f"name {bad!r} is not a string") from None
     if joined.splitlines() not in ([], [joined]):
         bad = next(name for name in names if name.splitlines() not in ([], [name]))
         raise ValueError(f"name {bad!r} contains a line break")
@@ -64,14 +69,15 @@ class Event:
 @dataclass(frozen=True)
 class EventTable:
     """Ordered alphabet with an observability flag per event: at least one
-    event, names nonempty, distinct, without a line break and encodable as
-    UTF-8."""
+    event, names strings, nonempty, distinct, without a line break and
+    encodable as UTF-8."""
 
     entries: tuple
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("event table must contain at least one event")
+        _check_names(self.names)
         seen = set()
         for e in self.entries:
             if not e.name:
@@ -79,7 +85,6 @@ class EventTable:
             if e.name in seen:
                 raise ValueError(f"duplicate event name: {e.name!r}")
             seen.add(e.name)
-        _check_names(self.names)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -116,10 +121,11 @@ class Des:
 
     States are indices 0..state_count-1, named ``str(q)`` unless
     ``state_names`` is given.  Construction checks the model's rules,
-    raising ``ValueError``: at least one state, distinct state names
-    without a line break and encodable as UTF-8, a nonempty initial set,
-    indices in range, and disjoint ``secret`` and ``nonsecret``; states in
-    neither set are neutral.  The event table checks its own rules.
+    raising ``ValueError``: at least one state, distinct state names that
+    are strings without a line break and encodable as UTF-8, a nonempty
+    initial set, indices in range, and disjoint ``secret`` and
+    ``nonsecret``; states in neither set are neutral.  The event table
+    checks its own rules.
     Immutable after construction.
     """
 
@@ -152,9 +158,9 @@ class Des:
             object.__setattr__(self, "state_names", tuple(str(q) for q in range(n)))
         if len(self.state_names) != n:
             raise ValueError("state_names length must match state_count")
+        _check_names(self.state_names)
         if len(set(self.state_names)) != n:
             raise ValueError("duplicate state name")
-        _check_names(self.state_names)
 
     def state_name(self, q: int) -> str:
         return self.state_names[q]

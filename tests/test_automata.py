@@ -671,6 +671,17 @@ def test_des_rejects_names_with_a_line_break(brk):
     assert des.state_names == ("", "x y", "x\ty")
 
 
+@pytest.mark.parametrize("events, state_names", [
+    (["a", 0], None), ([1], None), ([["x"]], None), (["a"], (1,)), (["a"], (["x"],)),
+])
+def test_names_that_are_not_strings_raise_value_error(events, state_names):
+    # the model promises ValueError for its rules, not a TypeError from a join
+    # or a set, nor the nonempty rule's message for a falsy non-string
+    with pytest.raises(ValueError, match=r"is not a string"):
+        Des(state_count=1, events=make_events(events), transitions=frozenset(), initial=frozenset({0}),
+            state_names=state_names)
+
+
 @pytest.mark.parametrize("name", ["\ud800", "s\udfff", "\udc00x"])
 def test_des_rejects_names_that_do_not_encode_as_utf8(name):
     # a lone surrogate parses from JSON ("\ud800") but cannot be printed
