@@ -308,6 +308,8 @@ def random_des(params: GeneratorParams) -> Des:
         raise ValueError("at least one event is required")
     if not (0.0 <= params.secret_fraction <= 1.0):
         raise ValueError("secret_fraction must lie in [0, 1]")
+    if not (0.0 <= params.neutral_fraction <= 1.0):  # also rejects NaN
+        raise ValueError("neutral_fraction must lie in [0, 1]")
     if not params.transition_density >= 0.0:  # also rejects NaN
         raise ValueError("transition_density must be a nonnegative number")
     if params.deterministic and params.transition_density > 1.0:

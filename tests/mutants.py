@@ -1,18 +1,16 @@
 """Named mutants of the verifier, and a runner that checks the tests kill each.
 
-A mutant is an exact replacement of one text in one file under ``src/``,
-whose old text occurs there exactly once.  For each mutant the runner
-copies ``src/`` to a temporary directory, applies the replacement there and
-runs the mutant's test selection against the copy.  The runner first
-times each distinct selection once on the unmutated copy.  The mutant is
-killed when its run reports a failing test, when the mutated package does
-not import, or when the run takes twice as long as that unmutated run of
-its own selection, as a mutant that makes a loop endless does.  The
-runner exits 1 when a mutant survives, when its old text no longer
-matches, or when a selection fails on the unmutated copy, so a refactor
-updates this list instead of dropping a mutant without notice.
+A mutant is an exact replacement of one text, which occurs exactly once,
+in one file under ``src/``.  The runner times each distinct test selection
+once on an unmutated copy of ``src/``, then runs each mutant's selection
+on a mutated copy, in a child forked from the runner.  The mutant is
+killed when a test fails, when the package does not import, or when the
+run outlasts twice that time and the warm-up's, as an endless loop does.
+The runner exits 1 when a mutant survives, when its old text no longer
+matches, or when a selection fails unmutated, so a refactor updates this
+list instead of dropping a mutant without notice.
 
-Run from anywhere, with pytest installed::
+Run from anywhere on a POSIX system, with pytest installed::
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -22,12 +20,14 @@ from __future__ import annotations
 
 import os
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,6 +62,8 @@ TRANSFORM_TESTS = (
 PRIME_TESTS = ("tests/test_strong.py::test_strong_to_weak_primes_past_every_name_in_use",)
 FRESH_EVENT_TESTS = ("tests/test_strong.py::test_strong_to_weak_fresh_event_avoids_collision",)
 PARSE_TESTS = ("tests/test_cli.py::test_parse_names_the_first_malformed_transition",)
+ROUNDTRIP_TESTS = ("tests/test_cli.py::test_roundtrip_stable",)
+DOT_TESTS = ("tests/test_cli.py::test_cli_observer_dot",)
 PLAIN_TESTS = (
     "tests/test_cli.py::test_run_reads_arguments_as_the_top_level_parser_does",
     "tests/test_cli.py::test_read_plain_matches_the_command_parser",
@@ -298,7 +300,15 @@ MUTANTS = (
         DOT,
         "            y >>= n\n",
         "",
-        ("tests/test_cli.py::test_cli_observer_dot",),
+        DOT_TESTS,
+    ),
+    Mutant("dot-quote-backslash-not-escaped", DOT, r'.replace("\\", "\\\\")', "", DOT_TESTS),
+    Mutant(
+        "dot-quote-replaces-swapped",
+        DOT,
+        r"""s.replace("\\", "\\\\").replace('"', '\\"')""",
+        r"""s.replace('"', '\\"').replace("\\", "\\\\")""",
+        DOT_TESTS,
     ),
     # normalization
     Mutant(
@@ -411,24 +421,17 @@ MUTANTS = (
         '("state", tgt, state_index), ("state", src, state_index)',
         PARSE_TESTS,
     ),
+    Mutant(
+        "state-names-not-checked",
+        DESFILE,
+        " or not all(isinstance(s, str) for s in states)",
+        "",
+        ("tests/test_cli.py::test_parse_rejects_malformed_fields",),
+    ),
+    # writing
+    Mutant("serialize-no-final-line-break", DESFILE, 'json.dumps(doc, indent=2) + "\\n"', "json.dumps(doc, indent=2)", ROUNDTRIP_TESTS),
+    Mutant("serialize-initial-unsorted", DESFILE, "for q in sorted(des.initial)]", "for q in des.initial]", ROUNDTRIP_TESTS),
 )
-
-
-# pytest with the arguments after the first, in an interpreter that first
-# imports the package from the copy named by the first: a mutant that breaks
-# the import exits 1, as a failing test does, and a package found outside the
-# copy, an installed one, exits OUTSIDE_COPY, which pytest never does
-OUTSIDE_COPY = 99
-PYTEST_IN_COPY = f"""
-import sys
-from pathlib import Path
-import desopacity.cli  # imports every module of the package
-if not Path(desopacity.cli.__file__).is_relative_to(sys.argv[1]):
-    print(desopacity.cli.__file__, file=sys.stderr)
-    sys.exit({OUTSIDE_COPY})
-import pytest
-sys.exit(pytest.main(sys.argv[2:]))
-"""
 
 
 def apply(mutant: Mutant, root: Path) -> None:
@@ -444,22 +447,32 @@ def apply(mutant: Mutant, root: Path) -> None:
 
 def run_tests(mutant: Mutant | None, tests: tuple, timeout: float | None = None) -> int | None:
     """pytest's exit code for ``tests`` against a copy of ``src/`` with
-    ``mutant`` applied, or unmutated for None; None when the run outlasts
-    ``timeout`` seconds."""
+    ``mutant`` applied, or unmutated for None; 1 when the package does not
+    import, 2 when it is not the copy, None when the run outlasts ``timeout``."""
     with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp)
-        shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         if mutant is not None:
-            apply(mutant, copy)
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, "-c", PYTEST_IN_COPY, str(copy), "-q", "-x", "-p", "no:cacheprovider", *tests]
-        try:
-            run = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return None
-        if run.returncode == OUTSIDE_COPY:
-            raise RuntimeError(f"the tests import {run.stderr.strip()!r}, not the copy under {tmp}")
-        return run.returncode
+            apply(mutant, Path(tmp))
+        sys.stdout.flush()  # so the child holds no copy of buffered output
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.setitimer(signal.ITIMER_REAL, timeout or 0)  # 0 arms none; SIGALRM's default action ends the child
+                for name in [name for name in sys.modules if name.partition(".")[0] == "desopacity"]:
+                    del sys.modules[name]
+                sys.path.insert(0, str(src))
+                os.chdir(ROOT)
+                from desopacity import cli  # imports every module of the package
+                code = 2  # unless the package is the copy, not an installed one
+                if Path(cli.__file__).is_relative_to(src):
+                    # no report, and the tests' prints captured: pyproject.toml's addopts turn capture off
+                    code = pytest.main(["-x", "-p", "no:cacheprovider", "-p", "no:terminal", "--capture=fd", *tests])
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        return None if os.WIFSIGNALED(status) else os.WEXITSTATUS(status)
 
 
 def main(names: list) -> int:
@@ -469,14 +482,20 @@ def main(names: list) -> int:
         print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
         return 2
     mutants = [known[name] for name in names] or list(MUTANTS)
-    timeouts = {}  # per distinct selection; the factor covers the host's spread
+    # load pytest's plugins and Hypothesis once, through pytest's import hook, which imports them without a warning
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "test_warm_up.py").write_text("import hypothesis\n", encoding="utf-8")
+        pytest.main(["--co", "-p", "no:cacheprovider", "-p", "no:terminal", tmp])
+    warm_up = time.perf_counter() - start
+    timeouts = {}  # per distinct selection; the warm-up is what a fresh start paid, and the factor covers the host's spread
     for tests in dict.fromkeys(m.tests for m in mutants):
         start = time.perf_counter()
         code = run_tests(None, tests)
         if code != 0:
             print(f"{' '.join(tests)} fails on the unmutated source (pytest exit {code})")
             return 1
-        timeouts[tests] = 2 * (time.perf_counter() - start)
+        timeouts[tests] = 2 * (time.perf_counter() - start + warm_up)
     failed = 0
     for mutant in mutants:
         try:
@@ -487,7 +506,7 @@ def main(names: list) -> int:
             continue
         # the run exits 1 when a test failed or the package did not import;
         # another code is an error of the run
-        outcome = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(code, f"ERROR (pytest exit {code})")
+        outcome = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(code, f"ERROR (exit {code})")
         failed += code not in (1, None)
         print(f"{outcome:<16} {mutant.name}")
     print(f"{len(mutants) - failed} of {len(mutants)} mutants killed")

@@ -72,13 +72,33 @@ def test_parse_fig5():
         des.events.index("zz")
 
 
+# initial states 1 and 9, which this frozenset iterates as 9, 1
+INITIAL_1_9 = Des(
+    state_count=10,
+    events=make_events(["a"]),
+    transitions=frozenset({(1, 0, 9)}),
+    initial=frozenset({9, 1}),
+    secret=frozenset({9}),
+)
+INITIAL_1_9_DOC = {
+    "states": [str(q) for q in range(10)],
+    "initial": ["1", "9"],
+    "events": [{"name": "a", "observable": True}],
+    "transitions": [["1", "a", "9"]],
+    "secret": ["9"],
+    "nonsecret": [],
+}
+
+
 def test_roundtrip_stable():
-    systems = [load_fixture(name) for name in FIXTURES]
+    systems = [load_fixture(name) for name in FIXTURES] + [INITIAL_1_9]
     systems += [random_weak_instance(seed) for seed in range(5)] + [random_det_instance(seed) for seed in range(5)]
     for des in systems:
         again = parse_des(serialize_des(des))
         assert again == des
         assert json.loads(serialize_des(again)) == json.loads(serialize_des(des))
+    # the names in index order, each set sorted, and a final line break
+    assert serialize_des(INITIAL_1_9) == json.dumps(INITIAL_1_9_DOC, indent=2) + "\n"
 
 
 def test_parse_diagnostics():
@@ -139,6 +159,7 @@ MALFORMED = {
     "nonsecret-object": ("'nonsecret' must be a list", lambda doc: doc.update(nonsecret={"1": True})),
     "transitions-int": ("'transitions' must be a list", lambda doc: doc.update(transitions=5)),
     "initial-string": ("'initial' must be a list", lambda doc: doc.update(initial="1")),
+    "states-name-list": ("'states' must be a list of name strings", lambda doc: doc.update(states=[["1"], "2", "3", "4"])),
     "transition-state-list": ("unknown state", lambda doc: doc.update(transitions=[[["1"], "a", "2"]])),
     "initial-state-list": ("unknown state", lambda doc: doc.update(initial=[["1"]])),
     "transition-event-list": ("unknown event", lambda doc: doc.update(transitions=[["1", ["a"], "2"]])),
@@ -476,11 +497,37 @@ digraph "G" {
 """
 
 
+# a state and an event named with a quote and a backslash, each escaped in its label
+QUOTED_NAMES = Des(
+    state_count=2,
+    events=make_events(['a"\\']),
+    transitions=frozenset({(0, 0, 1)}),
+    initial=frozenset({0}),
+    secret=frozenset({1}),
+    state_names=('q"1\\', "2"),
+)
+
+QUOTED_NAMES_OBSERVER_DOT = r"""digraph "observer" {
+  rankdir=LR;
+  __init [shape=point, label=""];
+  s0 [shape=circle, label="{q\"1\\}"];
+  s1 [shape=circle, label="{2}"];
+  __init -> s0;
+  s0 -> s1 [label="a\"\\"];
+}
+"""
+
+
 def test_cli_observer_dot(tmp_path):
     dot_file = tmp_path / "obs.dot"
     code, _ = invoke(["observer", "--input", fixture_path("fig2"), "--dot", str(dot_file)])
     assert code == 0
     assert dot_file.read_text() == FIG2_OBSERVER_DOT
+    path = tmp_path / "quoted.des"
+    path.write_text(serialize_des(QUOTED_NAMES))
+    code, _ = invoke(["observer", "--input", str(path), "--dot", str(dot_file)])
+    assert code == 0
+    assert dot_file.read_text() == QUOTED_NAMES_OBSERVER_DOT
 
 
 # no observable event: the observer is its initial estimate, with no edge

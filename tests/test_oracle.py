@@ -175,6 +175,10 @@ def test_random_des_counts_and_validation():
         {"unobservable_event_count": -1},
         {"observable_event_count": 0, "unobservable_event_count": 0},
         {"secret_fraction": 1.5},
+        # NaN and 1.5 would leave no nonsecret state, and -0.5 no neutral one
+        {"allow_neutral": True, "neutral_fraction": float("nan")},
+        {"allow_neutral": True, "neutral_fraction": 1.5},
+        {"allow_neutral": True, "neutral_fraction": -0.5},
     ):
         with pytest.raises(ValueError):
             random_des(dataclasses.replace(params, **bad))
