@@ -10,6 +10,7 @@ instances.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -42,20 +43,17 @@ class GeneratorParams:
     neutral_fraction: float = 0.0
 
 
-def _unobs_adj(des: Des) -> dict:
+def _adjacency(des: Des) -> tuple:
+    """(adj, uadj): the successors of each (state, event index) pair, and
+    of each state on the unobservable events, from one pass over the
+    transitions."""
     unobs = set(des.events.unobservable_indices())
-    adj = {}
-    for (p, e, q) in des.transitions:
-        if e in unobs:
-            adj.setdefault(p, set()).add(q)
-    return adj
-
-
-def _event_adj(des: Des) -> dict:
-    adj = {}
+    adj, uadj = {}, {}
     for (p, e, q) in des.transitions:
         adj.setdefault((p, e), set()).add(q)
-    return adj
+        if e in unobs:
+            uadj.setdefault(p, set()).add(q)
+    return adj, uadj
 
 
 def _close(uadj: dict, states: Iterable[int]) -> frozenset:
@@ -70,24 +68,20 @@ def _close(uadj: dict, states: Iterable[int]) -> frozenset:
     return frozenset(seen)
 
 
+def _step(adj: dict, uadj: dict, states: Iterable[int], e: int) -> frozenset:
+    """The closure of the successors of ``states`` on event index ``e``."""
+    return _close(uadj, [q for p in states for q in adj.get((p, e), ())])
+
+
 def simulate_observation(des: Des, start: Iterable[int], mu: Iterable[str]) -> frozenset:
     """delta(start, P^-1(mu)) by direct set simulation."""
-    adj = _event_adj(des)
-    uadj = _unobs_adj(des)
+    adj, uadj = _adjacency(des)
     current = _close(uadj, start)
     for name in mu:
-        e = des.events.index(name)
-        step = set()
-        for p in current:
-            step.update(adj.get((p, e), ()))
-        current = _close(uadj, step)
+        current = _step(adj, uadj, current, des.events.index(name))
         if not current:
             break
     return current
-
-
-def _observable_names(des: Des) -> tuple:
-    return tuple(des.events[i].name for i in des.events.observable_indices())
 
 
 def weak_violation_search(des: Des, k: KBound, bounds: OracleBounds) -> Optional[tuple]:
@@ -98,18 +92,11 @@ def weak_violation_search(des: Des, k: KBound, bounds: OracleBounds) -> Optional
     condition depends on the estimate only.
     """
     k = check_k(k)
-    names = _observable_names(des)
-    adj = _event_adj(des)
-    uadj = _unobs_adj(des)
     obs_events = des.events.observable_indices()
+    names = tuple(des.events[e].name for e in obs_events)
+    adj, uadj = _adjacency(des)
+    close_step = functools.partial(_step, adj, uadj)
     nu_limit = min(k, bounds.nu_max)
-
-    def close_step(states, e):
-        step = set()
-        for p in states:
-            step.update(adj.get((p, e), ()))
-        return _close(uadj, step)
-
     init = _close(uadj, des.initial)
     seen_estimates = {init}
     queue = deque([((), init)])
@@ -161,7 +148,7 @@ def validate_weak_witness(des: Des, k: KBound, witness: Witness) -> bool:
     k = check_k(k)
     if len(witness.nu) > k:
         return False
-    obs_names = set(_observable_names(des))
+    obs_names = {des.events[e].name for e in des.events.observable_indices()}
     if any(n not in obs_names for n in witness.mu + witness.nu):
         return False
     x = simulate_observation(des, des.initial, witness.mu)
@@ -174,28 +161,17 @@ def validate_weak_witness(des: Des, k: KBound, witness: Witness) -> bool:
     return True
 
 
-def _sig_safe_value(k: KBound):
-    # per-run counter of observable steps since the last secret visit; a run
-    # is safe iff the counter reached this value (k+1 steps ago, or never)
-    return k + 1 if k is not INFINITE else 1
-
-
 def _sig_close(des: Des, uadj: dict, pairs: Iterable) -> frozenset:
     """Unobservable closure of a signature: max counter per reachable state."""
     best = {}
-    work = []
-    for q, c in pairs:
-        c2 = 0 if q in des.secret else c
-        if best.get(q, -1) < c2:
-            best[q] = c2
-            work.append((q, c2))
+    work = list(pairs)
     while work:
-        p, c = work.pop()
-        for q in uadj.get(p, ()):
-            c2 = 0 if q in des.secret else c
-            if best.get(q, -1) < c2:
-                best[q] = c2
-                work.append((q, c2))
+        q, c = work.pop()
+        if q in des.secret:
+            c = 0
+        if best.get(q, -1) < c:
+            best[q] = c
+            work.extend((t, c) for t in uadj.get(q, ()))
     return frozenset(best.items())
 
 
@@ -224,27 +200,20 @@ def strong_violation_search(des: Des, k: KBound, bounds: OracleBounds) -> Option
     if des.nonsecret and len(des.secret | des.nonsecret) != des.state_count:
         raise ValueError("strong opacity requires every state to be secret or nonsecret")
     k = check_k(k)
-    adj = _event_adj(des)
-    uadj = _unobs_adj(des)
+    adj, uadj = _adjacency(des)
     q0 = next(iter(des.initial))
-    safe = _sig_safe_value(k)
-    verdict_cache = {}
-
-    def observation_is_covered(mu):
-        """True iff some run with observation mu keeps its last k observable
-        steps free of secret states (searched over runs of bounded length)."""
-        got = verdict_cache.get(mu)
-        if got is None:
-            got = _covered(des, adj, q0, mu, k)
-            verdict_cache[mu] = got
-        return got
-
+    # True iff some run with observation mu keeps its last k observable steps
+    # free of secret states (searched over runs of bounded length)
+    covered = functools.cache(functools.partial(_covered, des, adj, q0, k=k))
+    # per-run counter of observable steps since the last secret visit; a run
+    # is safe iff the counter reached this value (k+1 steps ago, or never)
+    safe = k + 1 if k is not INFINITE else 1
     sig0 = _sig_close(des, uadj, [(q0, safe)])
     seen = {(q0, sig0)}
     queue = deque([(q0, sig0, (), ())])  # (state, signature, string, observation)
     while queue:
         state, sig, s, mu = queue.popleft()
-        if not observation_is_covered(mu):
+        if not covered(mu):
             return s
         if len(s) >= bounds.mu_max:
             continue

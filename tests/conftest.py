@@ -8,7 +8,7 @@ from pathlib import Path
 
 from desopacity import INFINITE, Des, is_deterministic, make_events, mask_of, states_of
 from desopacity.automata import union_rows
-from desopacity.oracle import GeneratorParams, OracleBounds, _close, _event_adj, _unobs_adj, random_des, simulate_observation
+from desopacity.oracle import GeneratorParams, OracleBounds, _adjacency, _close, _step, random_des, simulate_observation
 
 
 def random_weak_instance(seed, n=4, obs=2, unobs=1, density=1.2, secret=0.3, neutral=0.3):
@@ -204,12 +204,9 @@ def oracle_rows(des):
     states the oracle's simulation reaches from {q} on that one event.  A
     reference for the projection that shares no code with ``project``: the
     steps of ``simulate_observation``, with its adjacency built once."""
-    adj, uadj = _event_adj(des), _unobs_adj(des)
+    adj, uadj = _adjacency(des)
     closures = [_close(uadj, {q}) for q in range(des.state_count)]
-    return [
-        [mask_of(_close(uadj, {r for p in closure for r in adj.get((p, e), ())})) for closure in closures]
-        for e in des.events.observable_indices()
-    ]
+    return [[mask_of(_step(adj, uadj, closure, e)) for closure in closures] for e in des.events.observable_indices()]
 
 
 def two_way_violation_depth(des):
@@ -406,8 +403,7 @@ def language_equivalent(a: Des, b: Des) -> bool:
         raise ValueError("language equivalence requires deterministic inputs")
     if a.events != b.events:
         raise ValueError("language equivalence requires identical event tables")
-    adj_a = _event_adj(a)
-    adj_b = _event_adj(b)
+    (adj_a, _), (adj_b, _) = _adjacency(a), _adjacency(b)
     start = (next(iter(a.initial)), next(iter(b.initial)))
     seen = {start}
     queue = deque([start])

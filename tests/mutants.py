@@ -69,6 +69,7 @@ PLAIN_TESTS = (
     "tests/test_cli.py::test_read_plain_matches_the_command_parser",
 )
 DECIDED_TESTS = ("tests/test_weak.py::test_decided_verdict_matches_the_full_search",)
+GOLDEN_TESTS = ("tests/test_golden_outputs.py::test_every_output_matches_its_pinned_digest",)
 NONDETERMINISM_RAISE = (
     "    if not is_deterministic(des):\n"
     '        raise ValueError("strong opacity is defined for deterministic systems only")\n'
@@ -406,6 +407,32 @@ MUTANTS = (
         "ReductionResult(strong_to_weak(des))",
         ("tests/test_strong.py::test_reduce_to_weak_always_normalizes",),
     ),
+    # the index rules
+    Mutant(
+        "transition-source-one-past-the-states",
+        AUTOMATA,
+        "if not (0 <= p < n and 0 <= q < n):",
+        "if not (0 <= p <= n and 0 <= q < n):",
+        ("tests/test_automata.py::test_des_validation",),
+    ),
+    Mutant(
+        "transition-event-one-past-the-events",
+        AUTOMATA,
+        "if not (0 <= e < m):",
+        "if not (0 <= e <= m):",
+        ("tests/test_automata.py::test_des_validation",),
+    ),
+    # the name rules
+    Mutant(
+        "line-break-blames-first-clean-name",
+        AUTOMATA,
+        "name.splitlines() not in ([], [name])",
+        "name.splitlines() in ([], [name])",
+        ("tests/test_automata.py::test_des_rejects_names_with_a_line_break",),
+    ),
+    # every command's output, pinned by digest
+    Mutant("golden-witness-nu-prints-mu", CLI, 'f"nu={_word(nu, observable)}"', 'f"nu={_word(mu, observable)}"', GOLDEN_TESTS),
+    Mutant("golden-stats-count-roots", WEAK, "len(marked), depth)", "len(roots), depth)", GOLDEN_TESTS),
     # parsing
     Mutant(
         "transition-name-type-error-uncaught",

@@ -632,8 +632,12 @@ def test_des_validation():
         Des(state_count=2, events=make_events(["a"]), transitions=frozenset({(0, 3, 1)}), initial=frozenset({0}))
     with pytest.raises(ValueError, match="state index out of range"):
         Des(state_count=2, events=make_events(["a"]), transitions=frozenset(), initial=frozenset({2}))
-    with pytest.raises(ValueError, match="transition state index out of range"):
-        Des(state_count=2, events=make_events(["a"]), transitions=frozenset({(0, 0, 2)}), initial=frozenset({0}))
+    # each index one past its range, at either end of a transition
+    for transition in ((0, 0, 2), (2, 0, 0)):
+        with pytest.raises(ValueError, match="transition state index out of range"):
+            Des(state_count=2, events=make_events(["a"]), transitions=frozenset({transition}), initial=frozenset({0}))
+    with pytest.raises(ValueError, match="transition event index out of range"):
+        Des(state_count=2, events=make_events(["a"]), transitions=frozenset({(0, 1, 1)}), initial=frozenset({0}))
     # a transition must be a triple, also beside valid ones
     for transitions in ({(0, 0, 1, 1)}, {(0, 0, 1), (1, 0, 0, 1)}):
         with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 3"):
@@ -659,12 +663,15 @@ def test_des_validation():
 @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
 def test_des_rejects_names_with_a_line_break(brk):
     # the CLI prints one name per line: "s\nh_states=999" would forge a line
+    # and the error names the name with the break, not a valid one beside it
     for name in (f"s{brk}h_states=999", f"s{brk}", f"{brk}s"):
-        with pytest.raises(ValueError, match="line break"):
+        with pytest.raises(ValueError, match="line break") as info:
             Des(state_count=2, events=make_events(["a"]), transitions=frozenset(), initial=frozenset({0}),
                 state_names=(name, "x"))
-        with pytest.raises(ValueError, match="line break"):
+        assert repr(name) in str(info.value)
+        with pytest.raises(ValueError, match="line break") as info:
             make_events(["a", name])
+        assert repr(name) in str(info.value)
     # a tab, a space and the empty state name are no line breaks
     des = Des(state_count=3, events=make_events(["a b", "c\td"]), transitions=frozenset(),
               initial=frozenset({0}), state_names=("", "x y", "x\ty"))

@@ -72,7 +72,12 @@ def test_rows_match_the_latest_committed_run():
 
 
 def test_main_writes_only_the_record_it_is_given(script, monkeypatch, tmp_path):
-    tiny = {"product_curve": (script.curve_row, {"shadowed_nth_letter": ([3], shadowed_nth_letter)})}
+    # two records in process, so a main that also writes one it was not
+    # asked for writes a second file
+    tiny = {
+        "paper_curves": (script.curve_row, {"nth_letter": ([3], benchmark_nth_letter)}),
+        "product_curve": (script.curve_row, {"shadowed_nth_letter": ([3], shadowed_nth_letter)}),
+    }
     monkeypatch.setattr(script, "RECORDS", tiny)
     assert script.main(["product_curve"]) == 0
     written = _written(tmp_path)
