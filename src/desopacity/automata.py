@@ -414,11 +414,4 @@ def observation(pg: Projection, obs: dict, x: int) -> tuple:
 
 
 def is_deterministic(des: Des) -> bool:
-    if len(des.initial) != 1:
-        return False
-    seen = set()
-    for (p, e, _q) in des.transitions:
-        if (p, e) in seen:
-            return False
-        seen.add((p, e))
-    return True
+    return len(des.initial) == 1 and len({(p, e) for p, e, _q in des.transitions}) == len(des.transitions)

@@ -43,6 +43,20 @@ discovery order of the kept pairs either, as a pair whose estimate holds a
 state of U has only such successors.  So the verdict and the violation
 depth are those of the unpruned search at every k, and fewer product
 states are explored.
+
+When the observer runs to its end, the verifier first tests a certificate
+that needs no seed.  Let W be ``universal(pg, U & nonsecret)``: the
+greatest set of nonsecret states in which every state has, on every
+observable event, a successor in W.  If the initial estimate meets W, then
+so does every estimate, as each step of a state of W holds a state of W.
+So every seed's estimate holds a state of W, which lies in U, and rule (a)
+skips every seed.  The search then has no root, and the verifier answers
+OPAQUE at every k with that empty search's stats, without ``compute_seeds``
+or ``bounded_bfs``: every output is the one the search gives.  A closed set
+of nonsecret states lies in U, so starting W's loop from U & nonsecret
+finds the same set as starting it from the nonsecret states, in fewer
+passes.  U & nonsecret itself is not closed: a nonsecret state of U may
+follow an observation only through secret or neutral states.
 """
 
 from __future__ import annotations
@@ -101,12 +115,15 @@ class Verdict:
             raise ValueError("witness must be present exactly when not opaque")
 
 
-def universal(pg: Projection) -> int:
-    """The mask of the projection's universal states U, found by dropping
-    states until none is dropped; with no observable event, all of them."""
+def universal(pg: Projection, within: Optional[int] = None) -> int:
+    """The greatest subset of the mask ``within`` (all states by default) in
+    which every state has, on every observable event, a successor in the
+    subset; with the default, the projection's universal states U.  Found by
+    dropping states until none is dropped; with no observable event, all of
+    ``within``."""
     n = pg.state_count
     offsets = range(0, n * len(pg.event_names), n)
-    kept = (1 << n) - 1
+    kept = (1 << n) - 1 if within is None else within
     dropped = True
     while dropped:
         dropped = False
@@ -155,20 +172,12 @@ def compute_seeds(obs: dict, secret: int, nonsecret: int, kept: Subsumption) -> 
     that ``kept`` admits; the pair keeps its first X.  Roots follow the
     observer's discovery order, so the estimate a root maps to has a
     shortest observation, ties broken by event-table order.
-    An estimate whose secret and nonsecret states equal an earlier one's
-    gives the same roots, so it is skipped.
     """
     seeds = {}
-    harvested = set()  # X & (secret | nonsecret) of the estimates seen
-    marked = secret | nonsecret
     for x in obs:
         secrets = x & secret
         if not secrets:
             continue
-        key = x & marked
-        if key in harvested:
-            continue
-        harvested.add(key)
         z = x & nonsecret
         for q in states_of(kept.admit(secrets, z)):
             seeds.setdefault((q, z), x)
@@ -263,7 +272,11 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
     x = next(reversed(obs))
     if not x & nonsecret and x & secret:
         return Verdict(False, _witness(pg, obs, x, states_of(x & secret)[0], ()), VerifyStats(len(obs), 0, 1, 0))
-    kept = Subsumption(universal(pg))
+    u = universal(pg)
+    # the certificate: the initial estimate meets W, so rule (a) skips every seed
+    if pg.initial & universal(pg, u & nonsecret):
+        return Verdict(True, None, VerifyStats(len(obs), 0, 0, 0))
+    kept = Subsumption(u)
     roots = compute_seeds(obs, secret, nonsecret, kept)
     marked, depth = bounded_bfs(pg, kept, roots, k)
 

@@ -69,6 +69,7 @@ PLAIN_TESTS = (
     "tests/test_cli.py::test_read_plain_matches_the_command_parser",
 )
 DECIDED_TESTS = ("tests/test_weak.py::test_decided_verdict_matches_the_full_search",)
+CERTIFICATE_TESTS = ("tests/test_weak.py::test_certificate_starts_from_universal_nonsecret_states_and_closes",)
 GOLDEN_TESTS = ("tests/test_golden_outputs.py::test_every_output_matches_its_pinned_digest",)
 NONDETERMINISM_RAISE = (
     "    if not is_deterministic(des):\n"
@@ -166,6 +167,24 @@ MUTANTS = (
         "                if not (row >> offset) & ((1 << n) - 1):\n",
         ("tests/test_automata.py::test_universal_matches_oracle_references",),
     ),
+    Mutant(
+        "universal-within-ignored",
+        WEAK,
+        "    kept = (1 << n) - 1 if within is None else within\n",
+        "    kept = (1 << n) - 1\n",
+        (*CERTIFICATE_TESTS, "tests/test_weak.py::test_verify_weak_witnesses_validate_past_oracle_sizes"),
+    ),
+    # the certificate: an initial estimate that meets W answers OPAQUE
+    Mutant("certificate-unclosed", WEAK, "universal(pg, u & nonsecret)", "u & nonsecret", (*CERTIFICATE_TESTS, *DECIDED_TESTS)),
+    # its removal changes no output, only the time, so only the count of
+    # the requests that reach compute_seeds tells
+    Mutant(
+        "certificate-removed",
+        WEAK,
+        "    if pg.initial & universal(pg, u & nonsecret):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_benchmark_requests_that_seed",),
+    ),
     # the forks that stay on the verify request path
     Mutant(
         "observer-inline-high-dropped",
@@ -204,17 +223,6 @@ MUTANTS = (
         DECIDED_TESTS,
     ),
     Mutant("decided-stats-no-root", WEAK, "VerifyStats(len(obs), 0, 1, 0)", "VerifyStats(len(obs), 0, 0, 0)", DECIDED_TESTS),
-    Mutant(
-        "harvest-key-secret-only",
-        WEAK,
-        "        key = x & marked\n",
-        "        key = x & secret\n",
-        (
-            "tests/test_weak.py::test_verify_weak_pruning_matches_unpruned_search",
-            "tests/test_weak.py::test_universal_pruning_keeps_verdicts_on_fixtures_and_pools",
-            *DECIDED_TESTS,
-        ),
-    ),
     # the plain command-line reader
     Mutant(
         "plain-dash-value-accepted",

@@ -395,10 +395,10 @@ def _never_empties(des, q):
     return True
 
 
-def _greatest_closed_set(rows, n):
-    """The greatest set of states that each have, in every row, a successor
-    in the set."""
-    kept = mask_of(range(n))
+def _greatest_closed_set(rows, within):
+    """The greatest subset of the mask ``within`` whose states each have, in
+    every row, a successor in the subset."""
+    kept = within
     while True:
         closed = mask_of(q for q in states_of(kept) if all(row[q] & kept for row in rows))
         if closed == kept:
@@ -417,16 +417,22 @@ def _greatest_closed_set(rows, n):
 def test_universal_matches_oracle_references(seed, n, obs, unobs, density):
     assume(obs + unobs > 0)
     des = random_weak_instance(seed, n=n, obs=obs, unobs=unobs, density=density)
-    u = universal(project(des))
+    pg = project(des)
+    u = universal(pg)
     rows = oracle_rows(des)
     never_empties = mask_of(q for q in range(n) if _never_empties(des, q))
     # rule (a)'s premise: no observation empties an estimate that holds a
     # universal state
     assert not u & ~never_empties
-    assert u == _greatest_closed_set(rows, n)
+    assert u == _greatest_closed_set(rows, mask_of(range(n)))
     # the converse needs a deterministic projection (see the pinned case below)
     if all(not row[q] & (row[q] - 1) for row in rows for q in range(n)):
         assert u == never_empties
+    # the greatest closed subset of a random mask lies in U
+    within = random.Random(seed).getrandbits(n)
+    w = universal(pg, within)
+    assert w == _greatest_closed_set(rows, within)
+    assert not w & ~u
 
 
 def test_universal_without_observable_events():

@@ -31,6 +31,7 @@ from desopacity import (
     strong_violation_search,
     verify_strong,
     verify_weak,
+    weak,
 )
 from desopacity.automata import union_rows
 from desopacity.cli import build_parser, run
@@ -882,6 +883,24 @@ def test_benchmark_requests_are_all_plain(tmp_path, monkeypatch):
         code = run(list(request.argv), out=io.StringIO())
         assert code == ("OPAQUE", "NOT_OPAQUE").index(request.expected), request.argv
     assert calls == []
+
+
+def test_benchmark_requests_that_seed(tmp_path, monkeypatch):
+    # the requests of the three pinned pools that reach compute_seeds; the
+    # observer's run answers the others, at a revealing estimate or with an
+    # initial estimate that meets W
+    workloads = _benchmark_workloads()
+    calls = []
+    compute_seeds = weak.compute_seeds
+    monkeypatch.setattr(weak, "compute_seeds", lambda *args: calls.append(None) or compute_seeds(*args))
+    seeding = {}
+    for w in workloads.WORKLOADS:
+        requests = workloads.prepare(w, 1, tmp_path / w)
+        calls.clear()
+        for request in requests:
+            run(list(request.argv), out=io.StringIO())
+        seeding[w] = (len(calls), len(requests))
+    assert seeding == {"weak_subset_blowup": (0, 12), "strong_reduction": (16, 24), "weak_random_mixed": (24, 160)}
 
 
 def test_cli_builds_parser_once(monkeypatch):

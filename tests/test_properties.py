@@ -15,7 +15,7 @@ of the full one's that ends at the first revealing seed's estimate.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from desopacity import (
@@ -120,6 +120,17 @@ def test_weak_violation_depth_decides_every_k(seed, n):
         if not verdict.opaque:
             assert len(verdict.witness.nu) == depth
             assert validate_weak_witness(des, k, verdict.witness)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(SEEDS, st.integers(4, 16), st.floats(0.8, 2.0))
+def test_initial_estimate_meeting_w_is_opaque_at_every_k(seed, n, density):
+    # W, the nonsecret states that can follow every observation, as
+    # verify_weak computes it; the two-way check shares no code with it
+    des = random_weak_instance(seed, n=n, density=density)
+    pg = project(des)
+    assume(pg.initial & universal(pg, universal(pg) & mask_of(des.nonsecret)))
+    assert two_way_violation_depth(des) is None
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)

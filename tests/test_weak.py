@@ -466,55 +466,82 @@ def test_verify_weak_matches_full_observer_reference(monkeypatch):
 
 def _full_search(des, k):
     """``compute_seeds`` and ``bounded_bfs`` over the observer built in full,
-    without the answer at a revealing estimate: (verdict, witness, bfs_depth,
-    the last vertex's parent link)."""
+    without the answers of the observer's run: (verdict, witness, stats, the
+    last vertex's parent link)."""
     pg = project(des)
     obs = observer(pg)
     kept = Subsumption(universal(pg))
     roots = compute_seeds(obs, mask_of(des.secret), mask_of(des.nonsecret), kept)
     marked, depth = bounded_bfs(pg, kept, roots, k)
+    stats = VerifyStats(len(obs), len({z for _q, z in marked if z}), len(marked), depth)
     last = next(reversed(marked), None)
     if last is None or last[1]:
-        return True, None, depth, None
+        return True, None, stats, None
     root, nu = path_to(marked, last)
     x = roots[root]
     names = pg.event_names
     mu = tuple(names[j] for j in observation(pg, obs, x))
-    return False, Witness(mu, root[0], tuple(names[j] for j in nu), x), depth, marked[last]
+    return False, Witness(mu, root[0], tuple(names[j] for j in nu), x), stats, marked[last]
 
 
 def test_decided_verdict_matches_the_full_search():
     # a revealing estimate of the observer is a violation at every k whose
     # pair (lowest secret state, empty estimate) is the full search's first
     # revealing root, so the product search stops there at depth 0; a call
-    # decided at the observer reports that search of one root
+    # decided at the observer reports that search of one root.  An initial
+    # estimate that meets W leaves the full search no root, and the call
+    # reports that empty search
     systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
     systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
     systems += [strong_to_weak(normalize(des)) for des in pinned_pool("strong_reduction")]
     systems += [random_weak_instance(seed, n=5 + seed % 12) for seed in range(120)]  # n in 5..16
     systems += [strong_to_weak(normalize(random_det_instance(seed, n=8 + seed % 13))) for seed in range(60)]
-    decided = through_product = product_violations = 0
+    decided = through_product = product_violations = rootless = 0
     for des in systems:
         full = observer(project(des))
         reveals = revealing_estimate(des)
         first = next((i for i, x in enumerate(full) if reveals(x)), None)
         for k in (0, 1, 1000, INFINITE):
             v = verify_weak(des, k)
-            opaque, witness, depth, link = _full_search(des, k)
+            opaque, witness, stats, link = _full_search(des, k)
             assert (v.opaque, v.witness) == (opaque, witness)
             if first is None:
                 through_product += 1
                 product_violations += not opaque
-                assert v.stats.observer_states == len(full)
-                assert v.stats.bfs_depth == depth
+                rootless += stats.product_states_explored == 0
+                assert v.stats == stats
                 continue
             decided += 1
             x = list(full)[first]
             assert v.witness.origin_estimate == x and v.witness.nu == ()
             assert v.witness.secret_state == states_of(x & mask_of(des.secret))[0]
-            assert (depth, link) == (0, None)
+            assert (stats.bfs_depth, link) == (0, None)
             assert v.stats == VerifyStats(first + 1, 0, 1, 0)
-    assert decided >= 350 and through_product >= 500 and product_violations >= 80
+    assert decided >= 350 and through_product >= 500 and product_violations >= 80 and rootless >= 300
+
+
+def test_certificate_starts_from_universal_nonsecret_states_and_closes():
+    # U = {0, 1} and U ∩ NS = {0}, which meets the initial estimate {0, 2};
+    # but 0 -a-> 1 leaves the nonsecret states, so W is empty.  After a,
+    # secret 2 can move on a again while the nonsecret estimate {3} cannot
+    des = Des(
+        state_count=4,
+        events=make_events(["a", "b"]),
+        transitions=frozenset({(0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 1), (2, 0, 2), (2, 0, 3)}),
+        initial=frozenset({0, 2}),
+        secret=frozenset({2}),
+        nonsecret=frozenset({0, 3}),
+    )
+    pg = project(des)
+    u = universal(pg)
+    assert u == mask_of({0, 1}) and pg.initial & u & mask_of(des.nonsecret)
+    assert universal(pg, u & mask_of(des.nonsecret)) == 0
+    assert two_way_violation_depth(des) == 1
+    assert verify_weak(des, 0).opaque
+    for k in (1, INFINITE):
+        v = verify_weak(des, k)
+        assert not v.opaque and v.stats.bfs_depth == 1
+        assert validate_weak_witness(des, k, v.witness)
 
 
 def test_verify_weak_monotone_in_k():
