@@ -36,7 +36,8 @@ observer.
 
 ``BENCH_product_curve.json``: the same row where the cost is in the
 product search.  Per n = 8 ... 15 on ``shadowed_nth_letter``: OPAQUE, 2^n
-estimates and 2^(n-1)·(2 + min(k, n)) product states.  Per n = 6 ... 12
+estimates and 2^(n-1)·(2 + min(k, n)) product states at k ≥ 1, none at
+k = 0, which the observer's run answers.  Per n = 6 ... 12
 on ``det_shadowed``, read as G′ = ``strong_to_weak(normalize(...))``
 (2n + 6 states): strongly OPAQUE, 2^n estimates and (n + 6)·2^n product
 states at k ≥ 1.

@@ -17,6 +17,12 @@ answers it without seeds or product: x's lowest secret state, the empty
 continuation.  ``observer_states`` counts the estimates up to and
 including x.
 
+When the observer runs to its end, no reachable estimate reveals.  At
+k = 0 a violation is exactly such an estimate (weak 0-step opacity is
+current-state opacity), so the verifier answers OPAQUE at the observer's
+end, without U, W, seeds or product: ``observer_states`` counts every
+estimate, and the product's stats read 0.
+
 Both the seeds and the product search skip pairs through one
 ``Subsumption``.  Let U be the projection's universal states: the greatest
 set in which every state has, on every observable event, a successor in
@@ -44,9 +50,9 @@ state of U has only such successors.  So the verdict and the violation
 depth are those of the unpruned search at every k, and fewer product
 states are explored.
 
-When the observer runs to its end, the verifier first tests a certificate
-that needs no seed.  Let W be ``universal(pg, U & nonsecret)``: the
-greatest set of nonsecret states in which every state has, on every
+When the observer runs to its end and k ≥ 1, the verifier first tests a
+certificate that needs no seed.  Let W be ``universal(pg, U & nonsecret)``:
+the greatest set of nonsecret states in which every state has, on every
 observable event, a successor in W.  If the initial estimate meets W, then
 so does every estimate, as each step of a state of W holds a state of W.
 So every seed's estimate holds a state of W, which lies in U, and rule (a)
@@ -272,6 +278,9 @@ def verify_weak(des: Des, k: KBound) -> Verdict:
     x = next(reversed(obs))
     if not x & nonsecret and x & secret:
         return Verdict(False, _witness(pg, obs, x, states_of(x & secret)[0], ()), VerifyStats(len(obs), 0, 1, 0))
+    # no estimate reveals, so the system is current-state opaque
+    if k == 0:
+        return Verdict(True, None, VerifyStats(len(obs), 0, 0, 0))
     u = universal(pg)
     # the certificate: the initial estimate meets W, so rule (a) skips every seed
     if pg.initial & universal(pg, u & nonsecret):

@@ -185,6 +185,17 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_cli.py::test_benchmark_requests_that_seed",),
     ),
+    # k = 0 answered at the observer's end: current-state opacity
+    Mutant("zero-steps-exit-widened", WEAK, "    if k == 0:\n", "    if k <= 1:\n", (*CERTIFICATE_TESTS, *DECIDED_TESTS)),
+    Mutant(
+        "zero-steps-exit-above-reveal",
+        WEAK,
+        "    if not x & nonsecret and x & secret:\n",
+        "    if k == 0:\n"
+        "        return Verdict(True, None, VerifyStats(len(obs), 0, 0, 0))\n"
+        "    if not x & nonsecret and x & secret:\n",
+        ("tests/test_weak.py::test_zero_steps_is_current_state_opacity",),
+    ),
     # the forks that stay on the verify request path
     Mutant(
         "observer-inline-high-dropped",

@@ -887,8 +887,8 @@ def test_benchmark_requests_are_all_plain(tmp_path, monkeypatch):
 
 def test_benchmark_requests_that_seed(tmp_path, monkeypatch):
     # the requests of the three pinned pools that reach compute_seeds; the
-    # observer's run answers the others, at a revealing estimate or with an
-    # initial estimate that meets W
+    # observer's run answers the others, at a revealing estimate, at k = 0
+    # or with an initial estimate that meets W
     workloads = _benchmark_workloads()
     calls = []
     compute_seeds = weak.compute_seeds
@@ -900,7 +900,7 @@ def test_benchmark_requests_that_seed(tmp_path, monkeypatch):
         for request in requests:
             run(list(request.argv), out=io.StringIO())
         seeding[w] = (len(calls), len(requests))
-    assert seeding == {"weak_subset_blowup": (0, 12), "strong_reduction": (16, 24), "weak_random_mixed": (24, 160)}
+    assert seeding == {"weak_subset_blowup": (0, 12), "strong_reduction": (12, 24), "weak_random_mixed": (18, 160)}
 
 
 def test_cli_builds_parser_once(monkeypatch):

@@ -372,13 +372,15 @@ def test_strong_implies_weak():
 @pytest.mark.parametrize("n", range(3, 8))
 def test_product_search_on_det_shadowed(n):
     # the strong family whose cost is in the product: (n + 6)·2^n pairs at
-    # every k >= 1, fewer at k = 0
+    # every k >= 1, none at k = 0, which the observer's run answers
     des = det_shadowed(n)
     if n <= 6:
         for k in (0, 1, 2, n, 1000, INFINITE):
             verdict = verify_strong(des, k)
             assert verdict.opaque, k
             assert verdict.stats.observer_states == 2 ** n
-            pairs = (n + 8) * 2 ** (n - 1) if k == 0 else (n + 6) * 2 ** n
-            assert verdict.stats.product_states_explored == pairs, k
+            if k == 0:
+                assert verdict.stats.h_states == verdict.stats.product_states_explored == verdict.stats.bfs_depth == 0
+            else:
+                assert verdict.stats.product_states_explored == (n + 6) * 2 ** n, k
     assert two_way_strong_violation_depth(des) is None

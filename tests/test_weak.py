@@ -439,7 +439,9 @@ def test_verify_weak_matches_full_observer_reference(monkeypatch):
     # answers a revealing estimate only when it is the full observer's last.
     # Verdicts and witnesses agree; observer_states counts the estimates up
     # to and including the first revealing one, and a call decided there
-    # reports the search of its one root, which the reference stops at
+    # reports the search of its one root, which the reference stops at.  The
+    # k = 0 answer relies on the observer's stop, which the stand-in lacks,
+    # so at k = 0 the reference is the full search
     systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
     systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
     stopped_early = 0
@@ -451,16 +453,21 @@ def test_verify_weak_matches_full_observer_reference(monkeypatch):
         stopped_early += expected_states < len(full)
         for k in (0, 1, 1000, INFINITE):
             v = verify_weak(des, k)
-            with monkeypatch.context() as m:
-                m.setattr(weak, "observer", lambda pg, secret, nonsecret: observer(pg))
-                ref = verify_weak(des, k)
+            if k == 0:
+                ref = Verdict(*_full_search(des, 0)[:3])
+            else:
+                with monkeypatch.context() as m:
+                    m.setattr(weak, "observer", lambda pg, secret, nonsecret: observer(pg))
+                    ref = verify_weak(des, k)
             assert ref.stats.observer_states == len(full)
             assert (v.opaque, v.witness) == (ref.opaque, ref.witness)
-            if first is None:
-                assert v.stats == ref.stats
-            else:
+            if first is not None:
                 assert v.stats == VerifyStats(expected_states, 0, 1, 0)
                 assert ref.stats.bfs_depth == 0
+            elif k == 0:
+                assert v.stats == VerifyStats(len(full), 0, 0, 0)
+            else:
+                assert v.stats == ref.stats
     assert stopped_early >= 30
 
 
@@ -490,7 +497,8 @@ def test_decided_verdict_matches_the_full_search():
     # revealing root, so the product search stops there at depth 0; a call
     # decided at the observer reports that search of one root.  An initial
     # estimate that meets W leaves the full search no root, and the call
-    # reports that empty search
+    # reports that empty search.  When no estimate reveals, a call at k = 0
+    # reports no search at all
     systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
     systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
     systems += [strong_to_weak(normalize(des)) for des in pinned_pool("strong_reduction")]
@@ -509,7 +517,8 @@ def test_decided_verdict_matches_the_full_search():
                 through_product += 1
                 product_violations += not opaque
                 rootless += stats.product_states_explored == 0
-                assert v.stats == stats
+                # no estimate reveals, so k = 0 is answered without the search
+                assert v.stats == (VerifyStats(len(full), 0, 0, 0) if k == 0 else stats)
                 continue
             decided += 1
             x = list(full)[first]
@@ -518,6 +527,23 @@ def test_decided_verdict_matches_the_full_search():
             assert (stats.bfs_depth, link) == (0, None)
             assert v.stats == VerifyStats(first + 1, 0, 1, 0)
     assert decided >= 350 and through_product >= 500 and product_violations >= 80 and rootless >= 300
+
+
+def test_zero_steps_is_current_state_opacity():
+    # weak 0-step opacity is current-state opacity: the oracle's search at
+    # k = 0, over every estimate, finds a violation exactly where some
+    # reachable estimate holds a secret state and no nonsecret one
+    systems = [load_fixture(name) for name in ("fig1", "fig2", "fig5", "fig6", "fig8", "fig10")]
+    systems += pinned_pool("weak_subset_blowup") + pinned_pool("weak_random_mixed")
+    strong = pinned_pool("strong_reduction")
+    systems += strong + [strong_to_weak(normalize(des)) for des in strong]
+    systems += [random_weak_instance(seed, n=3 + seed % 28) for seed in range(300)]  # n in 3..30
+    opaque = 0
+    for des in systems:
+        v = verify_weak(des, 0)
+        assert v.opaque == (weak_violation_search(des, 0, exhaustive_weak_bounds(des, 0)) is None)
+        opaque += v.opaque
+    assert opaque >= 200 and len(systems) - opaque >= 80
 
 
 def test_certificate_starts_from_universal_nonsecret_states_and_closes():
@@ -587,7 +613,11 @@ def test_product_search_on_shadowed_nth_letter(n):
         verdict = verify_weak(des, k)
         assert verdict.opaque, k
         assert verdict.stats.observer_states == 2 ** n
-        assert verdict.stats.product_states_explored == 2 ** (n - 1) * (2 + min(k, n)), k
+        if k == 0:
+            # the observer's run answers k = 0 without a product search
+            assert verdict.stats.h_states == verdict.stats.product_states_explored == verdict.stats.bfs_depth == 0
+        else:
+            assert verdict.stats.product_states_explored == 2 ** (n - 1) * (2 + min(k, n)), k
     if n <= 7:
         assert two_way_violation_depth(des) is None
 
@@ -602,8 +632,12 @@ def test_product_search_on_late_reveal(n):
         opaque = k is not INFINITE and k <= n
         assert verdict.opaque == opaque, k
         assert verdict.stats.observer_states == 2 ** n + 1
-        assert verdict.stats.product_states_explored == (1 + min(k, n)) * 2 ** n + (not opaque), k
-        assert verdict.stats.bfs_depth == (min(k, n) if opaque else n + 1), k
+        if k == 0:
+            # the observer's run answers k = 0 without a product search
+            assert verdict.stats.h_states == verdict.stats.product_states_explored == verdict.stats.bfs_depth == 0
+        else:
+            assert verdict.stats.product_states_explored == (1 + min(k, n)) * 2 ** n + (not opaque), k
+            assert verdict.stats.bfs_depth == (min(k, n) if opaque else n + 1), k
         if not opaque:
             w = verdict.witness
             assert (w.mu, des.state_name(w.secret_state), w.nu) == ((), str(n + 1), ("a",) * n + ("c",)), k
